@@ -26,23 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 from .number_theory import mobius_d_values
 
 DEFAULT_K = 6
 DEFAULT_TOL = 1e-12
 
-_MU_TABLES: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
-
+@lru_cache(maxsize=64)
 def _mu_table(d: int, k: int) -> Tuple[int, ...]:
-    key = (d, k)
-    table = _MU_TABLES.get(key)
-    if table is None:
-        table = tuple(mobius_d_values(d, 2 ** k - 1))
-        _MU_TABLES[key] = table
-    return table
+    return tuple(mobius_d_values(d, 2 ** k - 1))
 
 
 def _check_args(d: int, x: float, k: int, upper: float) -> None:

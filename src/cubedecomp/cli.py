@@ -36,6 +36,7 @@ from .covering import (
     Necs,
     enumerate_necs,
     enumerate_necs_up_to,
+    necs_gcd,
     necs_lcm,
     necs_to_json_dict,
     phi,
@@ -46,6 +47,7 @@ from .geometry import (
     decomposition_to_json_dict,
     enumerate_decompositions,
     enumerate_decompositions_up_to,
+    gcd_of,
     lcm_of,
 )
 from .lcm_counts import g_count, h_count
@@ -157,8 +159,14 @@ def _cmd_mu(args) -> int:
     if lo < 1:
         raise ValueError(f"mu is defined for n >= 1, got {lo}")
     params = {"d": args.d, "n": f"{lo}..{hi}"}
-    _print_values("mu", params, "recursion", args.format,
-                  ((n, mobius_d(args.d, n)) for n in range(lo, hi + 1)))
+    # The table costs O(hi) however narrow the range, a point query O(sqrt(n));
+    # measured, the table is faster once the range holds 16-64 isqrt(hi) values.
+    if hi - lo + 1 >= 32 * math.isqrt(hi):
+        table = mobius_d_values(args.d, hi)
+        pairs = ((n, table[n]) for n in range(lo, hi + 1))
+    else:
+        pairs = ((n, mobius_d(args.d, n)) for n in range(lo, hi + 1))
+    _print_values("mu", params, "recursion", args.format, pairs)
     return 0
 
 
@@ -398,7 +406,6 @@ def _check_necs_enumeration() -> None:
 
 
 def _check_refined_oracle() -> None:
-    from .geometry import gcd_of
     for d, r, max_n in ((1, (2,), 6), (1, (3,), 6), (2, (2, 1), 5), (2, (2, 2), 5)):
         values = refined_counts(d, r, max_n)
         levels = enumerate_decompositions_up_to(d, max_n)
@@ -458,8 +465,6 @@ def _check_phi_bijection() -> None:
 
 
 def _check_phi_preserves_lcm() -> None:
-    from .covering import necs_gcd
-    from .geometry import gcd_of
     for n in range(1, 7):
         for dec in enumerate_decompositions(1, n):
             system = phi(dec)

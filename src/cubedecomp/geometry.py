@@ -21,8 +21,11 @@ Key structural facts used here:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, lcm
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+from .number_theory import divisors, factorize
 
 Interval = Tuple[Fraction, Fraction]
 Region = Tuple[Interval, ...]
@@ -140,9 +143,6 @@ def _axis_cells_ok(dec: Decomposition, axis: int, r: int) -> bool:
     return True
 
 
-_SPLIT_GENERATED_CACHE: Dict[Tuple[int, Tuple[Region, ...]], bool] = {}
-
-
 def _axis_restrictions(dec: Decomposition, axis: int, r: int) -> List[Decomposition]:
     unit = unit_region(dec.d)
     buckets: List[List[Region]] = [[] for _ in range(r)]
@@ -154,6 +154,7 @@ def _axis_restrictions(dec: Decomposition, axis: int, r: int) -> List[Decomposit
     return [Decomposition(dec.d, tuple(b)) for b in buckets]
 
 
+@lru_cache(maxsize=4096)
 def is_split_generated(dec: Decomposition) -> bool:
     """Whether dec arises from the trivial decomposition by iterated equal splits.
 
@@ -161,16 +162,11 @@ def is_split_generated(dec: Decomposition) -> bool:
     whose p slabs each contain whole regions that rescale to split-generated
     decompositions.  Trying prime arities only is enough, since refining the
     q-slab grid implies refining the p-slab grid for every prime p | q.
+    Answers are memoized in a bounded LRU memo shared by all callers, since
+    related decompositions share sub-decompositions.
     """
-    from .number_theory import factorize
-
     if len(dec.regions) == 1:
         return dec.regions[0] == unit_region(dec.d)
-    key = (dec.d, dec.regions)
-    cached = _SPLIT_GENERATED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ok = False
     for axis in range(dec.d):
         m = 1
         for reg in dec.regions:
@@ -179,12 +175,8 @@ def is_split_generated(dec: Decomposition) -> bool:
         for p, _ in factorize(m):
             if _axis_cells_ok(dec, axis, p):
                 if all(is_split_generated(sub) for sub in _axis_restrictions(dec, axis, p)):
-                    ok = True
-                    break
-        if ok:
-            break
-    _SPLIT_GENERATED_CACHE[key] = ok
-    return ok
+                    return True
+    return False
 
 
 def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
@@ -229,8 +221,6 @@ def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
     Per axis, split-feasible r divide lcm_of(dec) and are closed under lcm,
     so the per-axis maximum over divisors is attained and jointly feasible.
     """
-    from .number_theory import divisors
-
     out = []
     for axis, m in enumerate(lcm_of(dec)):
         best = 1

@@ -18,14 +18,12 @@ pairwise coprime (and likewise h), so the d = 1 columns determine the rest.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Tuple
 
-from .number_theory import divisors, mobius_cached
+from .number_theory import factorize
 
 LcmKey = Tuple[int, ...]
-
-_G_CACHE: Dict[LcmKey, int] = {}
-_G_SYMMETRIC: Dict[LcmKey, int] = {}
 
 
 def _check_key(r: LcmKey) -> None:
@@ -33,62 +31,44 @@ def _check_key(r: LcmKey) -> None:
         raise ValueError(f"entries must be positive integers, got {r}")
 
 
-def _divisor_vectors(r: LcmKey) -> Tuple[Tuple[LcmKey, int], ...]:
-    """All (q, prod(q)) with q_i | r_i; mu(q_i) = 0 terms are kept and pruned by the caller."""
-    vecs: Tuple[Tuple[LcmKey, int], ...] = (((), 1),)
+def _signed_divisor_vectors(r: LcmKey) -> Tuple[Tuple[LcmKey, int, int], ...]:
+    """All (q, prod(q), prod mu(q_i)) with q_i | r_i and every mu(q_i) != 0.
+
+    Only squarefree q_i have mu(q_i) != 0, so each coordinate runs over the
+    products of distinct primes of r_i, with sign (-1)^(number of primes).
+    """
+    vecs: Tuple[Tuple[LcmKey, int, int], ...] = (((), 1, 1),)
     for ri in r:
-        vecs = tuple((q + (qi,), prod * qi) for q, prod in vecs for qi in divisors(ri))
+        squarefree = [(1, 1)]
+        for p, _ in factorize(ri):
+            squarefree += [(qi * p, -mu) for qi, mu in squarefree]
+        vecs = tuple((q + (qi,), prod * qi, sign * mu)
+                     for q, prod, sign in vecs for qi, mu in squarefree)
     return vecs
 
 
 def g_count(r: LcmKey) -> int:
     """Number of decompositions refined by the grid with arity vector r."""
     _check_key(r)
-    r = tuple(r)
-    cached = _G_CACHE.get(r)
-    if cached is not None:
-        return cached
-    key = tuple(sorted(r))  # symmetric in the coordinates
-    value = _G_SYMMETRIC.get(key)
-    if value is None:
-        if all(ri == 1 for ri in r):
-            value = 1
-        else:
-            total = 0
-            for q, prod in _divisor_vectors(r):
-                if prod == 1:
-                    continue
-                sign = 1
-                for qi in q:
-                    m = mobius_cached(qi)
-                    if m == 0:
-                        sign = 0
-                        break
-                    sign *= m
-                if sign == 0:
-                    continue
-                inner = g_count(tuple(ri // qi for ri, qi in zip(r, q)))
-                total += sign * inner ** prod
-            value = 1 - total
-        _G_SYMMETRIC[key] = value
-    _G_CACHE[r] = value
-    return value
+    return _g_sorted(tuple(sorted(r)))
+
+
+# The bound is at least the CLI's LCM_PRODUCT_CAP, so a table
+# `lcm-count g --n 1..10000` never evicts a value it still needs.
+@lru_cache(maxsize=1 << 14)
+def _g_sorted(r: LcmKey) -> int:
+    """g of a sorted vector; g_count sorts, since g is symmetric in the coordinates."""
+    total = 0
+    for q, prod, sign in _signed_divisor_vectors(r):
+        if prod != 1:
+            inner = _g_sorted(tuple(sorted(ri // qi for ri, qi in zip(r, q))))
+            total += sign * inner ** prod
+    return 1 - total
 
 
 def h_count(r: LcmKey) -> int:
     """Number of decompositions whose lcm is exactly r."""
     _check_key(r)
     r = tuple(r)
-    total = 0
-    for q, _ in _divisor_vectors(r):
-        sign = 1
-        for qi in q:
-            m = mobius_cached(qi)
-            if m == 0:
-                sign = 0
-                break
-            sign *= m
-        if sign == 0:
-            continue
-        total += sign * g_count(tuple(ri // qi for ri, qi in zip(r, q)))
-    return total
+    return sum(sign * g_count(tuple(ri // qi for ri, qi in zip(r, q)))
+               for q, _, sign in _signed_divisor_vectors(r))

@@ -5,64 +5,52 @@ function mu.  On n = p_1^m_1 * ... * p_k^m_k it has the closed form
 
     mu_d(n) = prod_i (-1)^m_i * C(d, m_i)
 
-(so mu_d(n) = 0 as soon as some exponent exceeds d), which is what
-`mobius_d` evaluates.  `dirichlet_convolve` provides the defining route
-independently; tests check the two against each other.
+(so mu_d(n) = 0 as soon as some exponent exceeds d).  A point query
+(`factorize`, `mobius_d`, `divisors`) factors n by trial division, so its
+cost follows sqrt(n) and it allocates nothing that outlives the call.  A
+table (`mobius_d_values`) applies the closed form through a prime-power
+sieve over 1..max_n.  `mobius_d_by_convolution` provides the defining route
+independently; tests check the routes against each other.  The module keeps
+no state between calls.
 
 Sequences are dense integer lists indexed by n with slot 0 unused (kept 0),
 so seq[n] is the value at n for 1 <= n <= len(seq)-1.
 """
 
-from math import comb
-from typing import Dict, List, Tuple
-
-_SPF_LIMIT = 0
-_SPF: List[int] = []
-
-
-def _grow_sieve(limit: int) -> None:
-    """Extend the smallest-prime-factor sieve to cover 2..limit."""
-    global _SPF_LIMIT, _SPF
-    if limit <= _SPF_LIMIT:
-        return
-    limit = max(limit, 2 * _SPF_LIMIT, 1 << 10)
-    spf = list(range(limit + 1))
-    for p in range(2, int(limit ** 0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    _SPF, _SPF_LIMIT = spf, limit
+from itertools import compress
+from math import comb, isqrt
+from typing import List, Tuple
 
 
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as a tuple of (prime, exponent), primes ascending."""
+    """Prime factorization of n >= 1 as a tuple of (prime, exponent), primes ascending.
+
+    Trial division by 2, 3 and then the candidates 6j - 1 and 6j + 1, up to
+    the square root of what is left of n.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return ()
     out = []
-    if n <= 10 ** 7:
-        _grow_sieve(n)
-        while n > 1:
-            p = _SPF[n]
-            m = 0
-            while n % p == 0:
-                n //= p
-                m += 1
-            out.append((p, m))
-    else:
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                m = 0
-                while n % p == 0:
-                    n //= p
-                    m += 1
-                out.append((p, m))
-            p += 1 if p == 2 else 2
-        if n > 1:
-            out.append((n, 1))
+    q = 5
+    while n > 1:
+        if n % 2 == 0:
+            p = 2
+        elif n % 3 == 0:
+            p = 3
+        else:
+            p = n  # unless a candidate up to sqrt(n) divides it, n is prime
+            for q in range(q, isqrt(n) + 1, 6):
+                if n % q == 0:
+                    p = q
+                    break
+                if n % (q + 2) == 0:
+                    p = q + 2
+                    break
+        m = 0
+        while n % p == 0:
+            n //= p
+            m += 1
+        out.append((p, m))
     return tuple(out)
 
 
@@ -90,8 +78,32 @@ def mobius_d(d: int, n: int) -> int:
 
 
 def mobius_d_values(d: int, max_n: int) -> List[int]:
-    """[0, mu_d(1), ..., mu_d(max_n)] as a dense list (slot 0 unused)."""
-    return [0] + [mobius_d(d, n) for n in range(1, max_n + 1)]
+    """[0, mu_d(1), ..., mu_d(max_n)] as a dense list (slot 0 unused).
+
+    A multiplicative prime-power sieve: for each prime p and m = 1, 2, ...,
+    every multiple of p^m swaps its factor mu_d(p^(m-1)) for
+    mu_d(p^m) = (-1)^m C(d, m).  The swap is an exact division because the
+    old factor is nonzero for m <= d, and the loop stops at m = d + 1, where
+    the factor becomes 0 for good.
+    """
+    if d < 0:
+        raise ValueError(f"mobius_d_values requires d >= 0, got {d}")
+    values = [0] + [1] * max_n
+    if max_n < 2:
+        return values
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (max_n - 1)
+    for p in range(2, isqrt(max_n) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, max_n + 1, p)))
+    for p in compress(range(max_n + 1), is_prime):
+        q, prev = p, 1
+        for m in range(1, d + 2):
+            if q > max_n:
+                break
+            w = (-1) ** m * comb(d, m)
+            values[q::q] = [v // prev * w for v in values[q::q]]
+            q, prev = q * p, w
+    return values
 
 
 def dirichlet_convolve(a: List[int], b: List[int]) -> List[int]:
@@ -135,12 +147,6 @@ def divisors(n: int) -> List[int]:
     return sorted(divs)
 
 
-_MU_CACHE: Dict[int, int] = {}
-
-
 def mobius_cached(n: int) -> int:
-    v = _MU_CACHE.get(n)
-    if v is None:
-        v = mobius(n)
-        _MU_CACHE[n] = v
-    return v
+    """The classical Moebius function; the same as `mobius`, kept under its old name."""
+    return mobius(n)

@@ -16,7 +16,7 @@ Schroeder number (1, 1, 3, 11, 45, 197, ...).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import product
 from typing import Iterator, List, Set, Tuple, Union
 
 from .geometry import Decomposition, scale_map, split, trivial_decomposition, unit_region
@@ -50,21 +50,6 @@ def validate_tree(tree: PlaneTree, d: int) -> None:
         validate_tree(child, d)
 
 
-@lru_cache(maxsize=None)
-def _trees(d: int, n: int) -> Tuple[PlaneTree, ...]:
-    if n == 1:
-        return (LEAF,)
-    out: List[PlaneTree] = []
-    # root arity r, then leaf counts of the ordered subtrees composing n
-    for r in range(2, n + 1):
-        for parts in _compositions(n, r):
-            child_sets = [_trees(d, p) for p in parts]
-            for children in _products(child_sets):
-                for label in range(1, d + 1):
-                    out.append((label, *children))
-    return tuple(out)
-
-
 def _compositions(n: int, r: int) -> Iterator[Tuple[int, ...]]:
     """Ordered r-tuples of positive integers summing to n."""
     if r == 1:
@@ -75,20 +60,25 @@ def _compositions(n: int, r: int) -> Iterator[Tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _products(pools: List[Tuple[PlaneTree, ...]]) -> Iterator[Tuple[PlaneTree, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _products(pools[1:]):
-            yield (head, *tail)
-
-
 def enumerate_trees(d: int, n: int) -> Set[PlaneTree]:
-    """All plane rooted trees with n leaves and internal labels in 1..d."""
+    """All plane rooted trees with n leaves and internal labels in 1..d.
+
+    Built bottom-up: level k holds the trees with k leaves, made from a root
+    of arity r and the ordered subtrees of each composition of k into r
+    parts.  The levels live only as long as the call.
+    """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    return set(_trees(d, n))
+    levels: List[Tuple[PlaneTree, ...]] = [(), (LEAF,)]
+    for k in range(2, n + 1):
+        levels.append(tuple(
+            (label, *children)
+            for r in range(2, k + 1)
+            for parts in _compositions(k, r)
+            for children in product(*(levels[p] for p in parts))
+            for label in range(1, d + 1)
+        ))
+    return set(levels[n])
 
 
 def tree_counts(d: int, max_n: int) -> TruncatedSeries:

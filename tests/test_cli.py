@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from cubedecomp import cli
+from cubedecomp.number_theory import mobius_d
 
 
 def run(capsys, *args):
@@ -42,6 +43,13 @@ def test_mu_json_records(capsys):
     assert out.splitlines()[0] == json.dumps(
         recs[0], sort_keys=True, separators=(",", ":")
     )
+    # a dense range is read from the table, a sparse high one by point queries
+    for lo, hi in ((1, 2000), (20000000, 20000020)):
+        code, out = run(capsys, "mu", "--d", "3", "--n", f"{lo}..{hi}")
+        assert code == 0
+        assert [r["result"] for r in records(out)] == [
+            {"n": n, "value": str(mobius_d(3, n))} for n in range(lo, hi + 1)
+        ]
 
 
 def test_seq_tables(capsys):
@@ -208,6 +216,7 @@ def test_usage_errors_exit_one(capsys):
 
 def test_domain_errors_exit_one(capsys):
     assert cli.main(["mu", "--d", "-1", "--n", "1..5"]) == 1
+    assert cli.main(["mu", "--d", "-1", "--n", "1..5000"]) == 1
     assert cli.main(["refined", "--d", "2", "--r", "2", "--max-n", "5"]) == 1
 
 

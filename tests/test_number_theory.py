@@ -1,6 +1,6 @@
 """Factorization and the d-fold signed splitting weights mu_d."""
 
-from math import comb, prod
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -28,9 +28,15 @@ def test_factorize_basics():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
 
-@given(st.integers(min_value=1, max_value=5000))
+@given(st.integers(min_value=1, max_value=5000)
+       | st.integers(min_value=10**7 - 1000, max_value=10**8))
 def test_factorize_reconstructs(n):
-    assert prod(p**m for p, m in factorize(n)) == n
+    factors = factorize(n)
+    assert prod(p**m for p, m in factors) == n
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
+    assert all(m >= 1 for _, m in factors)
+    assert all(p >= 2 and all(p % k for k in range(2, isqrt(p) + 1)) for p in primes)
 
 
 def test_factorize_rejects_nonpositive():
@@ -57,10 +63,11 @@ def test_mobius_d_prime_power_formula(d, n):
     assert mobius_d(d, n) == expected
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5])
 def test_mobius_values_agree_with_pointwise(d):
-    vals = mobius_d_values(d, 300)
-    assert vals == [0] + [mobius_d(d, n) for n in range(1, 301)]
+    for max_n in (1, 2, 300, 1024):  # 1024 = 2^10 ends on a prime-power edge
+        vals = mobius_d_values(d, max_n)
+        assert vals == [0] + [mobius_d(d, n) for n in range(1, max_n + 1)], max_n
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -122,3 +129,5 @@ def test_invalid_arguments_raise():
         mobius_d(-1, 5)
     with pytest.raises(ValueError):
         mobius_d(2, 0)
+    with pytest.raises(ValueError):
+        mobius_d_values(-1, 5)
