@@ -130,8 +130,12 @@ def _print_values(command: str, params: dict, provenance: str, fmt: str,
     if fmt == "csv":
         print(",".join(str(v) for _, v in pairs))
         return
+    # Only n and value change from row to row: serialise the rest once.  The
+    # result sorts between provenance and schema, so the tail holds no row data.
+    head, _, tail = _record(command, params, provenance, {"n": 0}).rpartition('{"n":0}')
+    write = sys.stdout.write
     for n, v in pairs:
-        print(_record(command, params, provenance, {"n": n, "value": str(v)}))
+        write(f'{head}{{"n":{n},"value":"{v}"}}{tail}\n')
 
 
 def _decomposition_text(dec: Decomposition) -> str:

@@ -12,11 +12,17 @@ central series, all tied to the d-fold Moebius function mu_d:
 
 The inverse is computed by Lagrange inversion through the auxiliary series:
 y = x*phi(y) with phi(z) = z/M_d(z), hence n*s_d(n) = [z^(n-1)] phi(z)^n.
-One truncated multiplication per coefficient, all of them nonnegative.
+Only one coefficient of each power is needed, so the powers are not all
+multiplied out: with B ~ sqrt(N), the baby steps phi^0..phi^(B-1) and the
+giant steps phi^B, phi^2B, ... give every coefficient as one dot product
+(Brent & Kung's baby-step/giant-step scheme), about 2*sqrt(N) truncated
+multiplications in place of N, all on nonnegative coefficients.
+`refined_counts` reuses powers the same way (Paterson & Stockmeyer).
 `_revert_by_extraction` is a slower independent scheme kept as a cross-check.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import List, Sequence, Tuple
 
 from .number_theory import mobius_d_values
@@ -133,16 +139,26 @@ def decomposition_counts(d: int, max_n: int) -> List[int]:
     """[0, s_d(1), ..., s_d(max_n)]: coefficients of the inverse of M_d.
 
     Lagrange inversion: n*s_d(n) = [z^(n-1)] phi(z)^n with phi = z/M_d(z).
+    Writing n = i*B + j with 0 <= j < B and B = isqrt(max_n - 1) + 1, the
+    coefficient is the dot product of phi^(iB) and phi^j up to z^(n-1).  The
+    B baby steps and the max_n // B giant steps cost about 2*sqrt(max_n)
+    truncated multiplications, O(N^2.5) coefficient products in all.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    phi = auxiliary_counts(d, max_n - 1)
+    order = max_n - 1
+    phi = auxiliary_counts(d, order)
+    step = isqrt(order) + 1
+    baby = [[1] + [0] * order, phi]
+    for _ in range(step - 1):
+        baby.append(_mul_trunc(baby[-1], phi, order))
+    giant = baby[0]
     s = [0] * (max_n + 1)
-    p = list(phi)
-    s[1] = p[0]
-    for n in range(2, max_n + 1):
-        p = _mul_trunc(p, phi, max_n - 1)
-        q, r = divmod(p[n - 1], n)
+    for n in range(1, max_n + 1):
+        i, j = divmod(n, step)
+        if j == 0:
+            giant = _mul_trunc(giant, baby[step], order) if i > 1 else baby[step]
+        q, r = divmod(sum(map(int.__mul__, giant[:n], baby[j][n - 1::-1])), n)
         if r:
             raise ArithmeticError(f"inversion coefficient at n={n} not divisible by n")
         s[n] = q
@@ -193,16 +209,22 @@ def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:
     if prod > max_n:
         return out
     y = decomposition_counts(d, max_n)
-    mu = mobius_d_values(d, max_n // prod)
-    yp = [1] + [0] * max_n          # y^(P*m), starting at m=0
-    y_pow_prod = [0] + y[1:]
+    top = max_n // prod
+    mu = mobius_d_values(d, top)
+    # Paterson-Stockmeyer: sum_m mu(m) Y^m with Y = y^P is a polynomial in
+    # Y^b whose coefficients are integer combinations of Y^0..Y^(b-1).
+    y_pow_prod = y
     for _ in range(prod - 1):
         y_pow_prod = _mul_trunc(y_pow_prod, y, max_n)
-    m = 0
-    while (m + 1) * prod <= max_n:
-        m += 1
-        yp = _mul_trunc(yp, y_pow_prod, max_n)
-        if mu[m]:
-            for n in range(m * prod, max_n + 1):
-                out[n] += mu[m] * yp[n]
+    b = isqrt(top)
+    powers = [[1] + [0] * max_n, y_pow_prod]
+    for _ in range(b - 1):
+        powers.append(_mul_trunc(powers[-1], y_pow_prod, max_n))
+    last = top // b
+    for k in range(last, -1, -1):
+        if k < last:
+            out = _mul_trunc(out, powers[b], max_n)
+        for c, p in zip(mu[k * b:(k + 1) * b], powers):
+            if c:
+                out = [u + c * v for u, v in zip(out, p)]
     return out

@@ -94,7 +94,11 @@ def tree_counts(d: int, max_n: int) -> TruncatedSeries:
     if max_n >= 1:
         t[1] = 1
     for n in range(2, max_n + 1):
-        conv = sum(t[j] * t[n - j] for j in range(1, n))
+        # sum_{j=1}^{n-1} t[j] t[n-j]: each pair j < n - j twice, the middle once.
+        half = (n - 1) // 2
+        conv = 2 * sum(map(int.__mul__, t[1:half + 1], t[n - 1:n - half - 1:-1]))
+        if n % 2 == 0:
+            conv += t[n // 2] ** 2
         t[n] = (d + 1) * conv - t[n - 1]
     return TruncatedSeries(tuple(t))
 

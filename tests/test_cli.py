@@ -9,6 +9,7 @@ import pytest
 
 from cubedecomp import cli
 from cubedecomp.number_theory import mobius_d
+from cubedecomp.series import decomposition_counts, refined_counts
 
 
 def run(capsys, *args):
@@ -69,6 +70,23 @@ def test_refined_counts_command(capsys):
                     "--format", "csv")
     # n = 1..4: exact-gcd-2 decompositions (quarters and thirds excluded at 4)
     assert (code, out) == (0, "0,1,2,6\n")
+
+
+@pytest.mark.parametrize("args, command, params, provenance, values", [
+    (("seq", "sd", "--d", "2", "--max-n", "30"), "seq",
+     {"kind": "sd", "d": 2, "max_n": 30}, "series", decomposition_counts(2, 30)[1:]),
+    (("refined", "--d", "2", "--r", "2,1", "--max-n", "12"), "refined",
+     {"d": 2, "r": [2, 1], "max_n": 12}, "series", refined_counts(2, (2, 1), 12)[1:]),
+    (("mu", "--d", "1", "--n", "1..50"), "mu",
+     {"d": 1, "n": "1..50"}, "recursion", [mobius_d(1, n) for n in range(1, 51)]),
+])
+def test_table_rows_are_canonical_records(capsys, args, command, params, provenance, values):
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines() == [
+        cli._record(command, params, provenance, {"n": n, "value": str(v)})
+        for n, v in enumerate(values, start=1)
+    ]
 
 
 def test_big_integers_survive_as_strings(capsys):

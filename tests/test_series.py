@@ -1,5 +1,7 @@
 """Truncated integer series, series reversion, and the counting tables."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,7 +108,9 @@ def test_reversion_round_trip(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_reversion_against_extraction_route(d):
-    assert _revert_by_extraction(d, 25) == decomposition_counts(d, 25)
+    # max_n at the edges of the baby-step/giant-step blocks of isqrt(max_n - 1) + 1
+    for max_n in (1, 2, 3, 4, 5, 9, 10, 16, 17, 25, 26):
+        assert _revert_by_extraction(d, max_n) == decomposition_counts(d, max_n)
 
 
 def test_auxiliary_counts_are_positive_and_nondecreasing():
@@ -144,6 +148,19 @@ def test_refined_counts_partition_in_dimension_two():
             for r2 in range(1, n + 1)
         )
         assert total == s[n]
+
+
+# P = prod(r) = 1 with max_n // P at the edges of the Paterson-Stockmeyer blocks,
+# then larger products, where y^P has valuation P.
+@pytest.mark.parametrize("d, r, max_n", [
+    (1, (1,), 1), (1, (1,), 3), (1, (1,), 4), (1, (1,), 8), (1, (1,), 9), (1, (1,), 10),
+    (2, (1, 1), 30), (1, (3,), 30), (2, (2, 1), 25), (2, (3, 2), 40), (3, (2, 1, 1), 25),
+])
+def test_refined_counts_match_composition(d, r, max_n):
+    # sum_m mu_d(m) y^(P m), evaluated independently by Horner in TruncatedSeries
+    power = decomposition_series(d, max_n).power(math.prod(r))
+    expected = mobius_series(d, max_n).compose(power)
+    assert refined_counts(d, r, max_n) == list(expected.coeffs)
 
 
 def test_refined_counts_validation():
