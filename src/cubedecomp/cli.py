@@ -261,6 +261,8 @@ def _cmd_phi(args) -> int:
 
 def _cmd_psi(args) -> int:
     data = _load_json_input(args.infile)
+    if not isinstance(data, dict):
+        raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
     d = int(data["d"])
     raw = data["tree"]
     tree = parse_tree(raw) if isinstance(raw, str) else tree_from_json(raw)

@@ -129,6 +129,8 @@ def phi(dec: "geometry.Decomposition") -> Necs:
     if dec.d != 1:
         raise ValueError(f"phi is defined on 1-dimensional decompositions, got d={dec.d}")
     if len(dec.regions) == 1:
+        if dec.regions[0] != geometry.unit_region(1):
+            raise ValueError("a one-region decomposition must be the unit interval (0, 1)")
         return trivial_necs()
     (r,) = geometry.gcd_of(dec)
     if r < 2:

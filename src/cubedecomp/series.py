@@ -18,12 +18,14 @@ giant steps phi^B, phi^2B, ... give every coefficient as one dot product
 (Brent & Kung's baby-step/giant-step scheme), about 2*sqrt(N) truncated
 multiplications in place of N, all on nonnegative coefficients.
 `refined_counts` reuses powers the same way (Paterson & Stockmeyer).
+The auxiliary coefficients come from their O(N^2) recurrence with the terms
+grouped by the few values of mu_d: one big-integer addition per nonzero term.
 `_revert_by_extraction` is a slower independent scheme kept as a cross-check.
 """
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .number_theory import mobius_d_values
 
@@ -123,6 +125,13 @@ def auxiliary_counts(d: int, max_n: int) -> List[int]:
 
     Recurrence from M_d(z) * sum a_d(i) z^i = z:
     a_d(0) = 1,  a_d(n) = -sum_{k=2}^{n+1} mu_d(k) a_d(n+1-k).
+
+    mu_d takes few distinct values (11 for d = 3 up to 1401), so the terms
+    are grouped by value: a_d(n) = -sum_v v * (sum of a_d(n+1-k) over the
+    k <= n+1 with mu_d(k) = v).  Each nonzero term then costs one big-integer
+    addition, and each step one multiplication per distinct value.  The
+    groups hold the offsets k - 2 into the reversed prefix a_d(n-1), ..., a_d(0)
+    and grow by one offset per step.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -130,8 +139,12 @@ def auxiliary_counts(d: int, max_n: int) -> List[int]:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     mu = mobius_d_values(d, max_n + 1)
     a = [1] + [0] * max_n
+    groups: Dict[int, List[int]] = {}
     for n in range(1, max_n + 1):
-        a[n] = -sum(mu[k] * a[n + 1 - k] for k in range(2, n + 2))
+        if mu[n + 1]:
+            groups.setdefault(mu[n + 1], []).append(n - 1)
+        get = a[n - 1::-1].__getitem__
+        a[n] = -sum([v * sum(map(get, ks)) for v, ks in groups.items()])
     return a
 
 
@@ -196,7 +209,8 @@ def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:
 
     Generating function sum_{m>=1} mu_d(m) y(x)^(P*m) with P = prod(r_i):
     replacing a decomposition's gcd grid cells by arbitrary sub-decompositions
-    and Moebius-inverting over coarsenings.
+    and Moebius-inverting over coarsenings.  y^P is built by square-and-multiply
+    and the sum over m by Paterson-Stockmeyer.
     """
     if len(r) != d:
         raise ValueError(f"refinement vector has length {len(r)}, expected d={d}")
@@ -211,11 +225,16 @@ def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:
     y = decomposition_counts(d, max_n)
     top = max_n // prod
     mu = mobius_d_values(d, top)
+    # Y = y^P by square-and-multiply: O(log P) truncated products.
+    y_pow_prod, square, e = None, y, prod
+    while e:
+        if e & 1:
+            y_pow_prod = square if y_pow_prod is None else _mul_trunc(y_pow_prod, square, max_n)
+        e >>= 1
+        if e:
+            square = _mul_trunc(square, square, max_n)
     # Paterson-Stockmeyer: sum_m mu(m) Y^m with Y = y^P is a polynomial in
     # Y^b whose coefficients are integer combinations of Y^0..Y^(b-1).
-    y_pow_prod = y
-    for _ in range(prod - 1):
-        y_pow_prod = _mul_trunc(y_pow_prod, y, max_n)
     b = isqrt(top)
     powers = [[1] + [0] * max_n, y_pow_prod]
     for _ in range(b - 1):

@@ -86,20 +86,27 @@ def tree_counts(d: int, max_n: int) -> TruncatedSeries:
 
     T satisfies T = x + d T^2 / (1 - T) (a root is a leaf, or one of d labels
     over at least two ordered subtrees); clearing the denominator gives
-    T = x - xT + (d+1) T^2, read off coefficientwise.
+    T = x - xT + (d+1) T^2, so t_d(1) = 1 and t_d(2) = d.
+
+    T is algebraic, so its coefficients satisfy a linear recurrence with
+    polynomial coefficients (Stanley, "Differentiably finite power series",
+    Europ. J. Combin. 1980).  Put U = 2(d+1)T - (1+x); the quadratic gives
+    U^2 = D = 1 - 2(2d+1)x + x^2, so 2 D U' = D' U.  T is affine in U, and
+    reading off [x^n] gives, for n >= 2,
+
+        (n+1) t_d(n+1) = (2d+1)(2n-1) t_d(n) - (n-2) t_d(n-1),
+
+    whose t_d(n-1) term vanishes at n = 2.  For d = 1 this is the little
+    Schroeder recurrence.  Each step is O(1) big-integer operations.
     """
     if d < 1 or max_n < 0:
         raise ValueError("need d >= 1 and max_n >= 0")
-    t = [0] * (max_n + 1)
-    if max_n >= 1:
-        t[1] = 1
-    for n in range(2, max_n + 1):
-        # sum_{j=1}^{n-1} t[j] t[n-j]: each pair j < n - j twice, the middle once.
-        half = (n - 1) // 2
-        conv = 2 * sum(map(int.__mul__, t[1:half + 1], t[n - 1:n - half - 1:-1]))
-        if n % 2 == 0:
-            conv += t[n // 2] ** 2
-        t[n] = (d + 1) * conv - t[n - 1]
+    t = [0, 1, d][:max_n + 1] + [0] * (max_n - 2)
+    for n in range(2, max_n):
+        q, r = divmod((2 * d + 1) * (2 * n - 1) * t[n] - (n - 2) * t[n - 1], n + 1)
+        if r:
+            raise ArithmeticError(f"tree count recurrence at n={n + 1} not divisible by {n + 1}")
+        t[n + 1] = q
     return TruncatedSeries(tuple(t))
 
 

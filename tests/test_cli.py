@@ -190,6 +190,20 @@ def test_phi_reads_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "0(2) 1(2)\n")
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("phi", {"d": 1, "regions": 5}),
+    ("phi", {"d": 1, "regions": [[["0", "1/2"]]]}),
+    ("psi", [1, 2]),
+])
+def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code = cli.main([command, "--in", "-"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("cubedecomp: error: ") and captured.err.count("\n") == 1
+
+
 def test_psi_command(tmp_path, capsys):
     src = tmp_path / "tree.json"
     src.write_text(json.dumps({"d": 2, "tree": "(2 L L L)"}))

@@ -114,6 +114,9 @@ def test_phi_on_golden_table():
 def test_phi_rejects_higher_dimensions():
     with pytest.raises(ValueError):
         phi(trivial_decomposition(2))
+    # a single region other than the unit interval is not a decomposition
+    with pytest.raises(ValueError):
+        phi(Decomposition(1, (((F(0), F(1, 2)),),)))
 
 
 def test_phi_is_a_bijection_with_matching_invariants():

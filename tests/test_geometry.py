@@ -225,3 +225,17 @@ def test_json_round_trip():
     assert all(
         isinstance(e, str) for reg in payload["regions"] for iv in reg for e in iv
     )
+    for bad in (
+        [1, 2],
+        {"d": None, "regions": [[["0", "1"]]]},
+        {"d": 1, "regions": 5},
+        {"d": 1, "regions": []},
+        {"d": 1, "regions": [[5]]},
+        {"d": 1, "regions": [[["0", None]]]},
+        {"d": 2, "regions": [[["0", "1"]]]},
+        {"d": 1, "regions": [[["1/2", "1/2"]], [["1/2", "1"]]]},
+        {"d": 1, "regions": [[["-1/2", "1/2"]], [["1/2", "1"]]]},
+        {"d": 1, "regions": [[["0", "1/2"]], [["1/2", "3/2"]]]},
+    ):
+        with pytest.raises(ValueError):
+            decomposition_from_json_dict(bad)

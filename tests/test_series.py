@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubedecomp.number_theory import mobius_d_values
 from cubedecomp.series import (
     TruncatedSeries,
+    _mul_trunc,
     _revert_by_extraction,
     auxiliary_counts,
     decomposition_counts,
@@ -113,6 +115,14 @@ def test_reversion_against_extraction_route(d):
         assert _revert_by_extraction(d, max_n) == decomposition_counts(d, max_n)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_auxiliary_counts_invert_mobius_series(d):
+    # (M_d(z)/z) * (z/M_d(z)) = 1 through z^N
+    for order in (0, 1, 2, 3, 60, 300):
+        m_over_z = mobius_d_values(d, order + 1)[1:]
+        assert _mul_trunc(m_over_z, auxiliary_counts(d, order), order) == [1] + [0] * order
+
+
 def test_auxiliary_counts_are_positive_and_nondecreasing():
     for d in (1, 2, 3, 4):
         a = auxiliary_counts(d, 60)
@@ -151,10 +161,12 @@ def test_refined_counts_partition_in_dimension_two():
 
 
 # P = prod(r) = 1 with max_n // P at the edges of the Paterson-Stockmeyer blocks,
-# then larger products, where y^P has valuation P.
+# then larger products, where y^P has valuation P and is built by squaring:
+# P = 4, 16 (one set bit), 6, 7, 9 (several).
 @pytest.mark.parametrize("d, r, max_n", [
     (1, (1,), 1), (1, (1,), 3), (1, (1,), 4), (1, (1,), 8), (1, (1,), 9), (1, (1,), 10),
     (2, (1, 1), 30), (1, (3,), 30), (2, (2, 1), 25), (2, (3, 2), 40), (3, (2, 1, 1), 25),
+    (2, (2, 2), 40), (1, (7,), 40), (1, (9,), 40), (2, (4, 4), 48),
 ])
 def test_refined_counts_match_composition(d, r, max_n):
     # sum_m mu_d(m) y^(P m), evaluated independently by Horner in TruncatedSeries
