@@ -9,6 +9,8 @@ maps between these families, and evaluates the exponential growth rate of
 s_d(n) with certified truncation error.
 """
 
+import types as _types
+
 from .asymptotics import (
     SaddleResult,
     asymptotic_estimate,
@@ -105,86 +107,8 @@ from .trees import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Decomposition",
-    "LEAF",
-    "Necs",
-    "ResidueClass",
-    "SaddleResult",
-    "TruncatedSeries",
-    "__version__",
-    "asymptotic_estimate",
-    "auxiliary_counts",
-    "check_growth_bounds",
-    "decomposition_counts",
-    "decomposition_from_json_dict",
-    "decomposition_series",
-    "decomposition_to_json_dict",
-    "dirichlet_convolve",
-    "divisors",
-    "enumerate_A",
-    "enumerate_A_tilde",
-    "enumerate_B",
-    "enumerate_decompositions",
-    "enumerate_decompositions_up_to",
-    "enumerate_necs",
-    "enumerate_necs_up_to",
-    "enumerate_trees",
-    "eval_M",
-    "eval_M_prime",
-    "eval_M_second",
-    "factorize",
-    "find_oar",
-    "find_saddle",
-    "log_asymptotic_estimate",
-    "first_even_set",
-    "format_tree",
-    "g_count",
-    "gcd_of",
-    "grid_decomposition",
-    "h_count",
-    "involution",
-    "is_exact_cover",
-    "is_reduced",
-    "is_split_generated",
-    "iter_sequences",
-    "lcm_of",
-    "leaf_count",
-    "make_class",
-    "mobius",
-    "mobius_d",
-    "mobius_d_values",
-    "mobius_series",
-    "necs_from_json_dict",
-    "necs_gcd",
-    "necs_lcm",
-    "necs_to_json_dict",
-    "parse_tree",
-    "phi",
-    "psi",
-    "ratio_injection",
-    "sequence_from_json",
-    "sequence_to_json",
-    "refined_counts",
-    "refines_grid",
-    "restrict_rescale",
-    "saddle_bracket",
-    "scale_map",
-    "sequence_sign",
-    "sequence_weight",
-    "series_from_list",
-    "set_sign",
-    "set_weight",
-    "signed_sum",
-    "split",
-    "split_class",
-    "split_decomposition",
-    "split_necs",
-    "tree_counts",
-    "tree_from_json",
-    "tree_to_json",
-    "trivial_decomposition",
-    "trivial_necs",
-    "unit_region",
-    "volume",
-]
+# every public name imported above, and the version
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not isinstance(value, _types.ModuleType) and (name[0] != "_" or name == "__version__")
+)

@@ -145,8 +145,8 @@ def saddle_bracket(d: int) -> Tuple[float, float]:
 
 def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleResult:
     """Bisect M_d' to its root with tail-certified signs at every step."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also rejects NaN, which would pass every tail check
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = saddle_bracket(d)
     max_tail = 0.0
 

@@ -263,7 +263,10 @@ def _cmd_psi(args) -> int:
     data = _load_json_input(args.infile)
     if not isinstance(data, dict):
         raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
-    d = int(data["d"])
+    try:
+        d = int(data["d"])
+    except TypeError:
+        raise ValueError(f"psi needs an integer d, got {data['d']!r}") from None
     raw = data["tree"]
     tree = parse_tree(raw) if isinstance(raw, str) else tree_from_json(raw)
     dec = psi(tree, d)
@@ -686,7 +689,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cubedecomp: resource cap: {exc}; pass --allow-large to override",
               file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cubedecomp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,9 @@ by repeatedly replacing one class a mod n with its r-fold split
 classes.
 
 `phi` realizes the bijection S_{1,m} -> C_m: an interval decomposition S with
-gcd r decomposes into r blocks; block j's sub-system lifts by
-a mod n -> j + r*a mod r*n (integers congruent to j mod r whose quotient
-lies in a mod n), which multiplies each modulus by r and hence preserves the
-componentwise gcd and lcm of the two worlds.
+gcd r decomposes into r blocks, and block j's sub-system lifts by
+a mod n -> j + r*a mod r*n, which multiplies each modulus by r and hence
+preserves the componentwise gcd and lcm of the two worlds.
 """
 
 from dataclasses import dataclass
@@ -114,33 +113,31 @@ def enumerate_necs(m: int) -> Set[Necs]:
     return enumerate_necs_up_to(m)[m]
 
 
-def _lift_class(c: ResidueClass, j: int, r: int) -> ResidueClass:
-    # Integers x = j mod r with (x - j)/r in a mod n, i.e. x = j + r*a mod r*n.
-    return ResidueClass((j + r * c.a) % (r * c.n), r * c.n)
-
-
 def phi(dec: "geometry.Decomposition") -> Necs:
     """The bijection from 1-dimensional decompositions to natural covering systems.
 
-    Recursion: with r the gcd of dec, block j is (j/r, (j+1)/r); the part of
-    dec inside block j rescales to a smaller decomposition whose image lifts
-    through _lift_class(., j, r).
+    With r the gcd of dec, the part of dec in block (j/r, (j+1)/r) rescales to
+    a smaller decomposition whose classes lift by a mod n -> j + r*a mod r*n.
+    Lifts compose to a mod n -> A + M*a mod M*n, so an explicit stack holds
+    (block in the integer grid form of geometry, A, M); a one-region block is
+    the class A mod M.  The gcd search uses the memo of is_split_generated,
+    keyed by that grid form.
     """
     if dec.d != 1:
         raise ValueError(f"phi is defined on 1-dimensional decompositions, got d={dec.d}")
-    if len(dec.regions) == 1:
-        if dec.regions[0] != geometry.unit_region(1):
-            raise ValueError("a one-region decomposition must be the unit interval (0, 1)")
-        return trivial_necs()
-    (r,) = geometry.gcd_of(dec)
-    if r < 2:
-        raise ValueError("a nontrivial decomposition must have gcd >= 2")
+    if len(dec.regions) == 1 and dec.regions[0] != geometry.unit_region(1):
+        raise ValueError("a one-region decomposition must be the unit interval (0, 1)")
     classes: List[ResidueClass] = []
-    for j in range(r):
-        cell = ((Fraction(j, r), Fraction(j + 1, r)),)
-        sub = geometry.restrict_rescale(dec, cell)
-        for c in phi(sub):
-            classes.append(_lift_class(c, j, r))
+    stack = [(geometry._grid_form(dec), 0, 1)]
+    while stack:
+        grid, a, m = stack.pop()
+        if len(grid[1]) == 1:
+            classes.append(ResidueClass(a, m))
+            continue
+        r, blocks = geometry._axis_gcd(grid, 0)
+        if r < 2:
+            raise ValueError("a nontrivial decomposition must have gcd >= 2")
+        stack.extend((block, a + m * j, m * r) for j, block in enumerate(blocks))
     return Necs(tuple(classes))
 
 

@@ -12,18 +12,28 @@ itself split-generated (containment alone is not enough: {(0,1/6), (1/6,1/4),
 (1/4,1/3), (1/3,1/2), (1/2,3/4), (3/4,1)} fits the quarter grid cellwise but
 its first cell rescales to the non-split {(0,2/3), (2/3,1)}).
 
+Split generation, refines_grid and gcd_of run on an integer grid form.  Every
+endpoint on axis i lies on the grid (1/L_i)Z, L = lcm_of(S), so S becomes
+(L, regions), a region being the flat tuple (lo_1, hi_1, ..., lo_d, hi_d) of
+integers in 0..L_i.  With w = L_i / r, a region fits in the r-cell lo // w iff
+hi <= (lo // w + 1) w; restricting to that cell shifts it by a multiple of w
+and sets L_i = w.  Each axis of a cell is then divided by the gcd of L_i and
+its endpoints, which makes the form canonical: it keys the bounded memo of
+split-generation verdicts.  Fractions appear only where a Decomposition is
+read or built.
+
 Key structural facts used here:
-  * any r_i with S refining the single-axis r_i-grid divides the lcm of the
-    coordinate-i endpoint denominators, so gcd_of can search divisors;
-  * the split-feasible grid set is closed under componentwise lcm, so the
-    maximum feasible divisor along each axis is the gcd grid.
+  * any r_i with S refining the single-axis r_i-grid divides L_i, so gcd_of
+    can search divisors;
+  * the split-feasible grid set is closed under componentwise lcm, and along
+    one axis under divisors, so the largest feasible divisor of L_i is the
+    gcd grid's entry.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import floor, lcm
-from typing import Dict, List, Set, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Set, Tuple
 
 from .number_theory import divisors, factorize
 
@@ -133,70 +143,138 @@ def volume(dec: Decomposition) -> Fraction:
     return total
 
 
-def _axis_cells_ok(dec: Decomposition, axis: int, r: int) -> bool:
-    # Necessary condition: every region's axis-interval inside one cell (j/r, (j+1)/r).
-    for reg in dec.regions:
-        lo, hi = reg[axis]
-        j = floor(lo * r)
-        if hi * r > j + 1:
-            return False
-    return True
+# ------------------------------------------------------------ integer-grid kernel
+
+Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
+
+_MEMO_BOUND = 4096
+_memo: Dict[Grid, bool] = {}  # split-generation verdicts by grid form, oldest evicted first
 
 
-def _axis_restrictions(dec: Decomposition, axis: int, r: int) -> List[Decomposition]:
-    unit = unit_region(dec.d)
-    buckets: List[List[Region]] = [[] for _ in range(r)]
-    for reg in dec.regions:
-        lo, hi = reg[axis]
-        j = floor(lo * r)
-        cell = unit[:axis] + ((Fraction(j, r), Fraction(j + 1, r)),) + unit[axis + 1:]
-        buckets[j].append(scale_map(cell, unit, reg))
-    return [Decomposition(dec.d, tuple(b)) for b in buckets]
+def _grid_form(dec: Decomposition) -> Grid:
+    """dec on the grid of lcm_of(dec), which is already reduced."""
+    Ls = lcm_of(dec)
+    return Ls, tuple(tuple(e.numerator * (L // e.denominator) for iv, L in zip(reg, Ls) for e in iv)
+                     for reg in dec.regions)
 
 
-@lru_cache(maxsize=4096)
+def _cells(grid: Grid, axis: int, r: int) -> Optional[List[Grid]]:
+    """The r cells of grid along axis, shifted and reduced, in ascending order.
+
+    None unless r divides L_axis, each region lies in one cell and each cell
+    holds a region (so r is at most the region count).  Within a cell every
+    region shifts alike, so the cells of a sorted grid are sorted.
+    """
+    Ls, regions = grid
+    w, rem = divmod(Ls[axis], r)
+    if rem or r > len(regions):
+        return None
+    i = 2 * axis
+    buckets: List[list] = [[] for _ in range(r)]
+    for reg in regions:
+        lo, hi = reg[i], reg[i + 1]
+        j = lo // w
+        if hi > (j + 1) * w:
+            return None
+        buckets[j].append(reg[:i] + (lo - j * w, hi - j * w) + reg[i + 2:])
+    if not all(buckets):
+        return None
+    Ls = Ls[:axis] + (w,) + Ls[axis + 1:]
+    out = []
+    for bucket in buckets:  # divide each axis by the gcd of its L and its endpoints
+        cols = list(zip(*bucket))
+        gs = [gcd(L, *cols[2 * a], *cols[2 * a + 1]) for a, L in enumerate(Ls)]
+        cols = [[x // gs[k // 2] for x in col] for k, col in enumerate(cols)]
+        out.append((tuple(L // g for L, g in zip(Ls, gs)), tuple(zip(*cols))))
+    return out
+
+
+def _search(grid: Grid):
+    """Coroutine of one grid's search: yields the cells it needs, is sent their verdicts.
+
+    A multi-region grid must admit a first split: an axis and a prime arity
+    p whose p cells are each split-generated (refining the q-slab grid
+    implies refining the p-slab grid for every prime p | q).
+    """
+    Ls, regions = grid
+    if len(regions) == 1:
+        return max(Ls) == 1 and regions[0] == (0, 1) * len(Ls)
+    for axis, L in enumerate(Ls):
+        for p, _ in factorize(L):
+            cells = _cells(grid, axis, p)
+            if cells is not None:
+                for cell in cells:
+                    if not (yield cell):
+                        break
+                else:
+                    return True
+    return False
+
+
+def _generated(grid: Grid) -> bool:
+    """Whether grid is split-generated, by a depth-first search on an explicit stack.
+
+    Deep inputs need no recursion.  Every verdict goes into the memo.
+    """
+    verdict = _memo.get(grid)
+    stack = [] if verdict is not None else [(grid, _search(grid))]
+    while stack:
+        node, search = stack[-1]
+        try:
+            cell = search.send(verdict)
+        except StopIteration as stop:
+            verdict = _memo[node] = stop.value
+            if len(_memo) > _MEMO_BOUND:
+                del _memo[next(iter(_memo))]
+            stack.pop()
+            continue
+        verdict = _memo.get(cell)
+        if verdict is None:
+            stack.append((cell, _search(cell)))
+    return verdict
+
+
+def _axis_gcd(grid: Grid, axis: int) -> Tuple[int, List[Grid]]:
+    """The largest r whose r cells along axis are split-generated, and those cells.
+
+    The feasible r are the divisors of the largest, so it is the first one
+    found from the top among the divisors of L_axis up to the region count.
+    """
+    n = len(grid[1])
+    for r in reversed([r for r in divisors(grid[0][axis]) if 1 < r <= n]):
+        cells = _cells(grid, axis, r)
+        if cells is not None and all(map(_generated, cells)):
+            return r, cells
+    return 1, [grid]
+
+
 def is_split_generated(dec: Decomposition) -> bool:
     """Whether dec arises from the trivial decomposition by iterated equal splits.
 
-    A multi-region dec must admit a first split: some axis and prime arity p
-    whose p slabs each contain whole regions that rescale to split-generated
-    decompositions.  Trying prime arities only is enough, since refining the
-    q-slab grid implies refining the p-slab grid for every prime p | q.
-    Answers are memoized in a bounded LRU memo shared by all callers, since
-    related decompositions share sub-decompositions.
+    Verdicts live in a bounded memo shared by all callers and keyed by the
+    integer grid form (L, sorted integer regions), each axis reduced by its gcd.
     """
-    if len(dec.regions) == 1:
-        return dec.regions[0] == unit_region(dec.d)
-    for axis in range(dec.d):
-        m = 1
-        for reg in dec.regions:
-            lo, hi = reg[axis]
-            m = lcm(m, lo.denominator, hi.denominator)
-        for p, _ in factorize(m):
-            if _axis_cells_ok(dec, axis, p):
-                if all(is_split_generated(sub) for sub in _axis_restrictions(dec, axis, p)):
-                    return True
-    return False
+    return _generated(_grid_form(dec))
 
 
 def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
     """Whether dec refines D_r in the split order.
 
     True iff each grid cell contains whole regions only and its restriction,
-    rescaled to the unit cube, is split-generated.
+    rescaled to the unit cube, is split-generated.  Cells are cut axis by axis
+    on the integer grid form; their verdicts use the memo of is_split_generated.
     """
     if len(r) != dec.d:
         raise ValueError(f"grid vector has length {len(r)}, expected {dec.d}")
     if any(ri < 1 for ri in r):
         raise ValueError(f"grid arities must be >= 1, got {r}")
-    if not all(_axis_cells_ok(dec, i, ri) for i, ri in enumerate(r)):
-        return False
-    unit = unit_region(dec.d)
-    for cell in grid_decomposition(r).regions:
-        sub = [scale_map(cell, unit, reg) for reg in dec.regions if region_contains(cell, reg)]
-        if not is_split_generated(Decomposition(dec.d, tuple(sub))):
+    grids = [_grid_form(dec)]
+    for axis, ri in enumerate(r):
+        cells = [_cells(g, axis, ri) for g in grids]
+        if None in cells:
             return False
-    return True
+        grids = [cell for cs in cells for cell in cs]
+    return all(map(_generated, grids))
 
 
 def lcm_of(dec: Decomposition) -> Tuple[int, ...]:
@@ -220,19 +298,14 @@ def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
 
     Per axis, split-feasible r divide lcm_of(dec) and are closed under lcm,
     so the per-axis maximum over divisors is attained and jointly feasible.
+    Cell verdicts use the memo of is_split_generated.  Raises ValueError
+    unless dec is split-generated (then an entry is >= 2, or dec is trivial).
     """
-    out = []
-    for axis, m in enumerate(lcm_of(dec)):
-        best = 1
-        for r in divisors(m):
-            if (
-                r > best
-                and _axis_cells_ok(dec, axis, r)
-                and all(is_split_generated(s) for s in _axis_restrictions(dec, axis, r))
-            ):
-                best = r
-        out.append(best)
-    return tuple(out)
+    grid = _grid_form(dec)
+    out = tuple(_axis_gcd(grid, axis)[0] for axis in range(dec.d))
+    if max(out) < 2 and not _generated(grid):
+        raise ValueError("the regions are not a split-generated decomposition")
+    return out
 
 
 def restrict_rescale(dec: Decomposition, cell: Region) -> Decomposition:

@@ -16,10 +16,11 @@ Schroeder number (1, 1, 3, 11, 45, 197, ...).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from typing import Iterator, List, Set, Tuple, Union
 
-from .geometry import Decomposition, scale_map, split, trivial_decomposition, unit_region
+from .geometry import Decomposition
 from .series import TruncatedSeries
 
 PlaneTree = Tuple  # () for a leaf, (label, *children) otherwise
@@ -39,15 +40,16 @@ def leaf_count(tree: PlaneTree) -> int:
 
 def validate_tree(tree: PlaneTree, d: int) -> None:
     """Raise ValueError unless every internal node has a label in 1..d and >= 2 children."""
-    if is_leaf(tree):
-        return
-    label = tree[0]
-    if not isinstance(label, int) or not 1 <= label <= d:
-        raise ValueError(f"internal node label {label!r} outside 1..{d}")
-    if len(tree) < 3:
-        raise ValueError("internal node must have at least 2 children")
-    for child in tree[1:]:
-        validate_tree(child, d)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not is_leaf(node):
+            label = node[0]
+            if not isinstance(label, int) or not 1 <= label <= d:
+                raise ValueError(f"internal node label {label!r} outside 1..{d}")
+            if len(node) < 3:
+                raise ValueError("internal node must have at least 2 children")
+            stack.extend(reversed(node[1:]))
 
 
 def _compositions(n: int, r: int) -> Iterator[Tuple[int, ...]]:
@@ -114,22 +116,24 @@ def psi(tree: PlaneTree, d: int) -> Decomposition:
     """Decomposition obtained by splitting along the root label's axis and recursing.
 
     The root's r children land in the r slabs of the axis split in ascending
-    order of the split coordinate.
+    order of the split coordinate.  An explicit stack holds (node, box), a box
+    being (num_lo, num_hi, den) per axis; Fractions are made only at the leaves.
     """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     validate_tree(tree, d)
-    return _psi(tree, d)
-
-
-def _psi(tree: PlaneTree, d: int) -> Decomposition:
-    if is_leaf(tree):
-        return trivial_decomposition(d)
-    label = tree[0]
-    children = tree[1:]
-    slabs = split(unit_region(d), label - 1, len(children))
     regions = []
-    for child, slab in zip(children, slabs):
-        for region in _psi(child, d).regions:
-            regions.append(scale_map(unit_region(d), slab, region))
+    stack = [(tree, ((0, 1, 1),) * d)]
+    while stack:
+        node, box = stack.pop()
+        if is_leaf(node):
+            regions.append(tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in box))
+            continue
+        axis, r = node[0] - 1, len(node) - 1
+        lo, hi, den = box[axis]
+        for j, child in enumerate(node[1:]):
+            slab = (lo * r + j * (hi - lo), lo * r + (j + 1) * (hi - lo), den * r)
+            stack.append((child, box[:axis] + (slab,) + box[axis + 1:]))
     return Decomposition(d, tuple(regions))
 
 
@@ -141,36 +145,34 @@ def format_tree(tree: PlaneTree) -> str:
 
 
 def parse_tree(text: str) -> PlaneTree:
-    """Inverse of format_tree; raises ValueError on malformed input."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    tree, pos = _parse(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens after tree: {' '.join(tokens[pos:])}")
-    return tree
+    """Inverse of format_tree; raises ValueError on malformed input.
 
-
-def _parse(tokens: List[str], pos: int) -> Tuple[PlaneTree, int]:
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "L":
-        return LEAF, pos + 1
-    if tok != "(":
-        raise ValueError(f"expected 'L' or '(', got {tok!r}")
-    pos += 1
-    if pos >= len(tokens) or not tokens[pos].isdigit():
-        raise ValueError("expected integer label after '('")
-    label = int(tokens[pos])
-    pos += 1
-    children: List[PlaneTree] = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        child, pos = _parse(tokens, pos)
-        children.append(child)
-    if pos >= len(tokens):
-        raise ValueError("missing ')'")
-    if len(children) < 2:
-        raise ValueError("internal node must have at least 2 children")
-    return (label, *children), pos + 1
+    Open nodes wait on an explicit stack, so any nesting depth parses.
+    """
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
+    open_nodes: List[list] = []  # [label, child, ...] of each node not yet closed
+    for tok in tokens:
+        if tok == ")" and open_nodes:
+            tree = tuple(open_nodes.pop())
+            if len(tree) < 3:
+                raise ValueError("internal node must have at least 2 children")
+        elif tok == "L":
+            tree = LEAF
+        elif tok == "(":
+            label = next(tokens, "")
+            if not label.isdigit():
+                raise ValueError("expected integer label after '('")
+            open_nodes.append([int(label)])
+            continue
+        else:
+            raise ValueError(f"expected 'L' or '(', got {tok!r}")
+        if not open_nodes:
+            rest = " ".join(tokens)
+            if rest:
+                raise ValueError(f"trailing tokens after tree: {rest}")
+            return tree
+        open_nodes[-1].append(tree)
+    raise ValueError("missing ')'" if open_nodes else "unexpected end of input")
 
 
 def tree_to_json(tree: PlaneTree) -> Union[str, list]:

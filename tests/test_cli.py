@@ -21,6 +21,17 @@ def records(out):
     return [json.loads(line) for line in out.splitlines()]
 
 
+def one_line_error(capsys, argv, stdin=None, monkeypatch=None):
+    """Run argv expecting exit 1 with nothing on stdout and one error line on stderr."""
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("cubedecomp: error: ") and captured.err.count("\n") == 1
+
+
 def test_mu_csv_golden(capsys):
     code, out = run(capsys, "mu", "--d", "3", "--n", "1..8", "--format", "csv")
     assert code == 0
@@ -194,14 +205,39 @@ def test_phi_reads_stdin(capsys, monkeypatch):
     ("phi", {"d": 1, "regions": 5}),
     ("phi", {"d": 1, "regions": [[["0", "1/2"]]]}),
     ("psi", [1, 2]),
+    ("phi", {"d": 1, "regions": [[["0", "1/3"]], [["1/3", "1/2"]], [["1/2", "1"]]]}),
+    ("phi", {"d": 1, "regions": [[["0", "1/2"]], [["0", "1/2"]], [["1/2", "1"]]]}),
 ])
 def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-    code = cli.main([command, "--in", "-"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("cubedecomp: error: ") and captured.err.count("\n") == 1
+    one_line_error(capsys, [command, "--in", "-"], json.dumps(payload), monkeypatch)
+
+
+@pytest.mark.parametrize("d", [None, [1], "x", 0])
+def test_psi_rejects_bad_dimension(capsys, monkeypatch, d):
+    one_line_error(capsys, ["psi", "--in", "-"], json.dumps({"d": d, "tree": "L"}), monkeypatch)
+
+
+def test_psi_deep_tree(capsys, monkeypatch):
+    depth = 3000
+    text = "L"
+    for _ in range(depth):
+        text = f"(1 L {text})"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"d": 1, "tree": text})))
+    code, out = run(capsys, "psi", "--in", "-")
+    assert code == 0
+    (rec,) = records(out)
+    regions = rec["result"]["regions"]
+    assert len(regions) == depth + 1
+    assert regions[:2] == [[["0", "1/2"]], [["1/2", "3/4"]]]
+    assert regions[-1] == [[f"{2 ** depth - 1}/{2 ** depth}", "1"]]
+    # the JSON reader itself is recursive: a deep tree in list form is a usage error
+    deep_list = '{"d": 1, "tree": ' + '[1, "L", ' * depth + '"L"' + "]" * depth + "}"
+    one_line_error(capsys, ["psi", "--in", "-"], deep_list, monkeypatch)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_growth_rejects_tol_that_is_not_finite_and_positive(capsys, tol):
+    one_line_error(capsys, ["growth", "--d", "1", f"--tol={tol}"])
 
 
 def test_psi_command(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Exact region geometry, split generation, grid gcd/lcm, and enumeration."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -27,6 +31,8 @@ from cubedecomp.geometry import (
     unit_region,
     volume,
 )
+from cubedecomp.covering import necs_gcd, necs_lcm, phi
+from cubedecomp.number_theory import divisors
 from cubedecomp.series import decomposition_counts
 
 
@@ -239,3 +245,75 @@ def test_json_round_trip():
     ):
         with pytest.raises(ValueError):
             decomposition_from_json_dict(bad)
+
+
+@contextmanager
+def shallow_stack(frames=80):
+    """Allow only `frames` Python frames above the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def binary_chain(n):
+    """{(0,1/2), (1/2,3/4), ..., (1-2^(1-n), 1)}: n regions, split depth n - 1."""
+    pts = [F(0)] + [1 - F(1, 2 ** k) for k in range(1, n)] + [F(1)]
+    return Decomposition(1, tuple(((lo, hi),) for lo, hi in zip(pts, pts[1:])))
+
+
+def test_gcd_of_rejects_inputs_that_are_not_split_generated():
+    half = box((0, 1, 1, 2), (0, 1, 1, 1))
+    quarter_cell = interval_dec(F(2, 3))  # first quarter cell of the docstring example
+    for bad in (
+        Decomposition(2, (half, half)),  # overlapping boxes
+        Decomposition(1, (((F(0), F(1, 2)),), ((F(3, 4), F(1)),))),  # a gap
+        quarter_cell,
+        interval_dec(F(1, 3), F(1, 2)),
+        Decomposition(1, (((F(0), F(1, 2)),),)),
+    ):
+        assert not is_split_generated(bad)
+        with pytest.raises(ValueError):
+            gcd_of(bad)
+    docstring_example = interval_dec(F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(3, 4))
+    assert restrict_rescale(docstring_example, ((F(0), F(1, 4)),)) == quarter_cell
+    assert gcd_of(docstring_example) == (2,)
+
+
+def test_split_generation_needs_no_recursion():
+    chain = binary_chain(300)
+    with shallow_stack():
+        assert is_split_generated(chain)
+        assert gcd_of(chain) == (2,)
+        assert refines_grid(chain, (2,)) and not refines_grid(chain, (4,))
+        system = phi(chain)
+    assert [(c.a, c.n) for c in system] == [(2 ** k - 1, 2 ** (k + 1)) for k in range(299)] + [
+        (2 ** 299 - 1, 2 ** 299)]
+
+
+@lru_cache(maxsize=None)
+def all_decompositions(d, max_n):
+    levels = enumerate_decompositions_up_to(d, max_n)
+    return [dec for n in range(1, max_n + 1) for dec in sorted(levels[n], key=repr)]
+
+
+@pytest.mark.parametrize("d,max_n", [(1, 9), (2, 6)])
+def test_kernel_agrees_with_enumeration_and_covering_invariants(d, max_n):
+    for dec in all_decompositions(d, max_n):
+        assert is_split_generated(dec)
+        if d == 1:
+            system = phi(dec)
+            assert necs_gcd(system) == gcd_of(dec)[0]
+            assert necs_lcm(system) == lcm_of(dec)[0]
+
+
+@pytest.mark.parametrize("d,max_n", [(1, 9), (2, 6)])
+def test_gcd_of_is_the_largest_refined_grid(d, max_n):
+    for dec in all_decompositions(d, max_n):
+        refined = [r for r in product(*map(divisors, lcm_of(dec))) if refines_grid(dec, r)]
+        assert tuple(map(max, zip(*refined))) == gcd_of(dec), dec

@@ -9,6 +9,7 @@ from fractions import Fraction
 import cubedecomp
 from cubedecomp.asymptotics import _mu_table, eval_M
 from cubedecomp.cli import LCM_PRODUCT_CAP
+from cubedecomp import geometry
 from cubedecomp.geometry import Decomposition, is_split_generated
 from cubedecomp.lcm_counts import _g_sorted, g_count
 
@@ -60,10 +61,11 @@ def _cut_at(k: int) -> Decomposition:
 
 
 def test_memos_stay_within_their_bounds():
-    bound = is_split_generated.cache_info().maxsize
+    # the split-generation verdicts of the integer-grid kernel
+    bound = geometry._MEMO_BOUND
     assert bound is not None
     assert not any(is_split_generated(_cut_at(k)) for k in range(3, bound + 103))
-    assert is_split_generated.cache_info().currsize <= bound
+    assert len(geometry._memo) <= bound
 
     bound = _mu_table.cache_info().maxsize
     assert bound is not None

@@ -1,5 +1,7 @@
 """Labelled plane trees, their counts, and the map onto decompositions."""
 
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +10,10 @@ from cubedecomp.geometry import (
     enumerate_decompositions,
     gcd_of,
     grid_decomposition,
+    split,
     split_decomposition,
     trivial_decomposition,
+    unit_region,
     volume,
 )
 from cubedecomp.series import decomposition_counts, series_from_list
@@ -127,6 +131,41 @@ def test_psi_is_surjective(d, max_n):
 def test_psi_validates_labels():
     with pytest.raises(ValueError):
         psi((2, LEAF, LEAF), 1)
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            psi(LEAF, d)
+
+
+def split_rebuild(tree, d):
+    """The tree's decomposition, made by split_decomposition one node at a time."""
+    def place(dec, region, node):
+        if is_leaf(node):
+            return dec
+        axis, children = node[0] - 1, node[1:]
+        dec = split_decomposition(dec, region, axis, len(children))
+        for slab, child in zip(split(region, axis, len(children)), children):
+            dec = place(dec, slab, child)
+        return dec
+    return place(trivial_decomposition(d), unit_region(d), tree)
+
+
+def test_psi_matches_split_rebuild():
+    for n in range(1, 7):
+        for tree in enumerate_trees(2, n):
+            assert psi(tree, 2) == split_rebuild(tree, 2), format_tree(tree)
+
+
+def test_deep_trees_need_no_recursion():
+    depth = 3000
+    text = "L"
+    for _ in range(depth):
+        text = f"(1 L {text})"
+    tree = parse_tree(text)
+    validate_tree(tree, 2)
+    dec = psi(tree, 2)
+    assert len(dec) == depth + 1
+    edges = [1 - F(1, 2 ** k) for k in range(depth + 1)] + [F(1)]
+    assert dec.regions == tuple(((lo, hi), (F(0), F(1))) for lo, hi in zip(edges, edges[1:]))
 
 
 @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
