@@ -5,9 +5,9 @@ M_d(x) = sum mu_d(n) x^n, has a positive radius of convergence, and the
 counts' growth constant is K_d = 1/M_d(s) where s is the first positive root
 of M_d'.  Everything here evaluates M_d and its first two derivatives in
 binary64 from partial sums through n < 2^k, together with a certified bound
-on the discarded tail, so sign decisions made during root finding are
-genuinely rigorous (up to binary64 rounding, which is orders of magnitude
-below the tolerances used).
+on the discarded tail.  The tail bounds are certified; the sign of the
+partial sum is a binary64 decision, which near the root of M_d' is within
+rounding of zero and so is not certified there.
 
 Tail bounds.  A dyadic block n in [2^l, 2^(l+1)) has at most l prime factors
 with multiplicity, so |mu_d(n)| <= d^l there; summing blocks geometrically
@@ -188,7 +188,8 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
     f_s, tail = signed(s)
     max_tail = max(max_tail, tail)
     if abs(f_s) > tol:
-        raise RuntimeError(f"bisection stalled: |M'({s})| = {abs(f_s)} > {tol}")
+        raise ValueError(f"tol={tol} is below what binary64 bisection reaches: "
+                         f"|M'({s})| = {abs(f_s)}")
 
     m_value, tail = eval_M(d, s, k)
     max_tail = max(max_tail, tail)

@@ -28,6 +28,8 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -123,6 +125,12 @@ def _record(command: str, params: dict, provenance: str, result: dict) -> str:
     )
 
 
+def _emit(fmt: str, text: object, command: str, params: dict, provenance: str,
+          result: dict) -> None:
+    """Print one result: its CSV text, or its JSON record."""
+    print(text if fmt == "csv" else _record(command, params, provenance, result))
+
+
 def _print_values(command: str, params: dict, provenance: str, fmt: str,
                   pairs: Iterable[Tuple[int, int]]) -> None:
     """Emit an indexed integer table: JSON record per entry, or one CSV line."""
@@ -199,29 +207,25 @@ def _cmd_refined(args) -> int:
 
 def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callable[[object], str]]:
     d, n = args.d, args.n
-    if args.target == "decomp":
+    if args.target == "necs" and d != 1:
+        raise ValueError("covering systems are one-dimensional; use --d 1")
+    if args.target == "trees":
+        expected, noun = tree_counts(d, n).coefficient(n), "trees"
+    else:
         expected = decomposition_counts(d, n)[n]
-        if expected > ENUM_CAP and not args.allow_large:
-            raise _ResourceCap(f"{expected} decompositions exceeds cap {ENUM_CAP}")
+        noun = "decompositions" if args.target == "decomp" else "covering systems"
+    if expected > ENUM_CAP and not args.allow_large:
+        raise _ResourceCap(f"{expected} {noun} exceeds cap {ENUM_CAP}")
+    if args.target == "decomp":
         objs = sorted(enumerate_decompositions(d, n), key=lambda s: s.regions)
         return objs, decomposition_to_json_dict, _decomposition_text
     if args.target == "necs":
-        if d != 1:
-            raise ValueError("covering systems are one-dimensional; use --d 1")
-        expected = decomposition_counts(1, n)[n]
-        if expected > ENUM_CAP and not args.allow_large:
-            raise _ResourceCap(f"{expected} covering systems exceeds cap {ENUM_CAP}")
-        objs = sorted(enumerate_necs(n), key=lambda c: c.classes)
-        return objs, necs_to_json_dict, _necs_text
-    expected = tree_counts(d, n).coefficient(n)
-    if expected > ENUM_CAP and not args.allow_large:
-        raise _ResourceCap(f"{expected} trees exceeds cap {ENUM_CAP}")
-    objs = sorted(enumerate_trees(d, n), key=format_tree)
+        return sorted(enumerate_necs(n), key=lambda c: c.classes), necs_to_json_dict, _necs_text
 
     def tree_json(tree) -> dict:
         return {"d": d, "tree": format_tree(tree)}
 
-    return objs, tree_json, format_tree
+    return sorted(enumerate_trees(d, n), key=format_tree), tree_json, format_tree
 
 
 def _cmd_enum(args) -> int:
@@ -232,11 +236,8 @@ def _cmd_enum(args) -> int:
             for obj in objs:
                 fh.write(json.dumps(to_json(obj), sort_keys=True,
                                     separators=(",", ":")) + "\n")
-        summary = {"count": len(objs), "emitted": args.emit}
-        if args.format == "csv":
-            print(f"{len(objs)},{args.emit}")
-        else:
-            print(_record("enum", params, "enumeration", summary))
+        _emit(args.format, f"{len(objs)},{args.emit}", "enum", params, "enumeration",
+              {"count": len(objs), "emitted": args.emit})
         return 0
     for obj in objs:
         if args.format == "csv":
@@ -249,13 +250,8 @@ def _cmd_enum(args) -> int:
 def _cmd_phi(args) -> int:
     dec = decomposition_from_json_dict(_load_json_input(args.infile))
     system = phi(dec)
-    params = {"in": args.infile}
-    if args.format == "csv":
-        print(_necs_text(system))
-        return 0
-    result = necs_to_json_dict(system)
-    result["lcm"] = necs_lcm(system)
-    print(_record("phi", params, "recursion", result))
+    result = dict(necs_to_json_dict(system), lcm=necs_lcm(system))
+    _emit(args.format, _necs_text(system), "phi", {"in": args.infile}, "recursion", result)
     return 0
 
 
@@ -270,11 +266,8 @@ def _cmd_psi(args) -> int:
     raw = data["tree"]
     tree = parse_tree(raw) if isinstance(raw, str) else tree_from_json(raw)
     dec = psi(tree, d)
-    params = {"in": args.infile}
-    if args.format == "csv":
-        print(_decomposition_text(dec))
-        return 0
-    print(_record("psi", params, "recursion", decomposition_to_json_dict(dec)))
+    _emit(args.format, _decomposition_text(dec), "psi", {"in": args.infile}, "recursion",
+          decomposition_to_json_dict(dec))
     return 0
 
 
@@ -286,11 +279,9 @@ def _cmd_growth(args) -> int:
         saddle = find_saddle(d, tol=args.tol, k=args.k)
         result = saddle.to_json_dict()
         result["excess"] = saddle.growth_rate - (4 * d + 1.5)
-        if args.format == "csv":
-            print(f"{d},{saddle.s},{saddle.growth_rate},{result['excess']}")
-        else:
-            params = {"d": d, "tol": args.tol, "k": args.k}
-            print(_record("growth", params, "saddle", result))
+        params = {"d": d, "tol": args.tol, "k": args.k}
+        _emit(args.format, f"{d},{saddle.s},{saddle.growth_rate},{result['excess']}",
+              "growth", params, "saddle", result)
     return 0
 
 
@@ -305,11 +296,8 @@ def _cmd_lcm_count(args) -> int:
                 f"product {product} of --r entries exceeds cap {LCM_PRODUCT_CAP}")
         params = {"kind": args.kind, "r": list(args.r)}
         value = count(args.r)
-        if args.format == "csv":
-            print(value)
-        else:
-            print(_record("lcm-count", params, "recursion",
-                          {"r": list(args.r), "value": str(value)}))
+        _emit(args.format, value, "lcm-count", params, "recursion",
+              {"r": list(args.r), "value": str(value)})
         return 0
     lo, hi = args.n
     if lo < 1:
@@ -345,34 +333,16 @@ SCHROEDER = [1, 1, 3, 11, 45, 197, 903]
 GROWTH_EXCESS = {2: 0.004290, 3: 0.007080, 30: 0.001910}
 
 
-def _check_mu_closed_form() -> None:
-    for d in (1, 2, 3):
-        assert mobius_d_values(d, 200) == mobius_d_by_convolution(d, 200), d
+def _agree(cases: Callable[[], Iterable[tuple]], fast: Callable,
+           oracle: Callable) -> Callable[[], None]:
+    """A check that fast(*case) == oracle(*case) for every argument tuple of cases().
 
-
-def _check_mu_tables() -> None:
-    for d, row in MU_TABLE.items():
-        got = [mobius_d(d, n) for n in range(1, 16)]
-        assert got == row, (d, got)
-
-
-def _check_count_tables() -> None:
-    for d, row in S_TABLE.items():
-        assert decomposition_counts(d, 10)[1:] == row, d
-    for d, row in A_TABLE.items():
-        assert auxiliary_counts(d, 10) == row, d
-
-
-def _check_series_round_trip() -> None:
-    for d in (1, 2, 3):
-        composed = mobius_series(d, 40).compose(decomposition_series(d, 40))
-        expected = [0, 1] + [0] * 39
-        assert list(composed.coeffs) == expected, d
-
-
-def _check_dual_reversion() -> None:
-    for d in (1, 2, 3):
-        assert decomposition_counts(d, 40) == _revert_by_extraction(d, 40), d
+    cases is called when the check runs, so building SUITES computes nothing.
+    """
+    def check() -> None:
+        for case in cases():
+            assert fast(*case) == oracle(*case), case
+    return check
 
 
 def _check_tree_tables() -> None:
@@ -384,34 +354,14 @@ def _check_tree_tables() -> None:
         assert all(t.coefficient(n) > s[n] for n in range(4, 9)), d
 
 
-def _check_lcm_tables() -> None:
-    assert [g_count((n,)) for n in range(1, 17)] == G_ROW
-    assert [h_count((n,)) for n in range(1, 17)] == H_ROW
-
-
 def _check_growth_goldens() -> None:
     assert abs(find_saddle(1).growth_rate - 5.487452) < 1e-5
     for d, excess in GROWTH_EXCESS.items():
         got = find_saddle(d).growth_rate - (4 * d + 1.5)
         assert abs(got - excess) < 1e-5, (d, got)
-    assert all(check_growth_bounds(d) for d in range(2, 31))
+    _check_growth_bounds_range()
     rates = [find_saddle(d).growth_rate for d in range(1, 31)]
     assert all(a < b for a, b in zip(rates, rates[1:]))
-
-
-def _check_decomposition_enumeration() -> None:
-    levels = enumerate_decompositions_up_to(1, 7)
-    s1 = decomposition_counts(1, 7)
-    assert all(len(levels[n]) == s1[n] for n in range(1, 8))
-    levels = enumerate_decompositions_up_to(2, 5)
-    s2 = decomposition_counts(2, 5)
-    assert all(len(levels[n]) == s2[n] for n in range(1, 6))
-
-
-def _check_necs_enumeration() -> None:
-    levels = enumerate_necs_up_to(7)
-    s1 = decomposition_counts(1, 7)
-    assert all(len(levels[n]) == s1[n] for n in range(1, 8))
 
 
 def _check_refined_oracle() -> None:
@@ -423,77 +373,14 @@ def _check_refined_oracle() -> None:
             assert count == values[n], (d, r, n)
 
 
-def _check_tree_enumeration() -> None:
-    for d in (1, 2):
-        series = tree_counts(d, 7)
-        for n in range(1, 8):
-            assert len(enumerate_trees(d, n)) == series.coefficient(n), (d, n)
-
-
-def _check_prime_set_counts() -> None:
-    for d in (1, 2, 3):
-        mu = mobius_d_values(d, 13)
-        for n in range(1, 13):
-            assert len(enumerate_B(d, n)) == abs(mu[n + 1]), (d, n)
-
-
-def _check_signed_sums() -> None:
-    for d in (1, 2):
-        a = auxiliary_counts(d, 10)
-        for n in range(1, 11):
-            assert signed_sum(d, n) == a[n], (d, n)
-
-
-def _check_reduced_counts_line() -> None:
-    a = auxiliary_counts(1, 10)
-    for n in range(1, 11):
-        assert len(enumerate_A_tilde(1, n)) == a[n], n
-
-
 def _check_lcm_oracle() -> None:
-    dec_by_lcm: Dict[int, int] = {}
-    for n, decs in enumerate_decompositions_up_to(1, 8).items():
-        for dec in decs:
-            ell = lcm_of(dec)[0]
-            dec_by_lcm[ell] = dec_by_lcm.get(ell, 0) + 1
-    necs_by_lcm: Dict[int, int] = {}
-    for n, systems in enumerate_necs_up_to(8).items():
-        for system in systems:
-            ell = necs_lcm(system)
-            necs_by_lcm[ell] = necs_by_lcm.get(ell, 0) + 1
+    decs = chain.from_iterable(enumerate_decompositions_up_to(1, 8).values())
+    systems = chain.from_iterable(enumerate_necs_up_to(8).values())
+    dec_by_lcm = Counter(lcm_of(dec)[0] for dec in decs)
+    necs_by_lcm = Counter(map(necs_lcm, systems))
     for ell in range(1, 9):
-        assert dec_by_lcm.get(ell, 0) == h_count((ell,)), ell
-        assert necs_by_lcm.get(ell, 0) == h_count((ell,)), ell
-
-
-def _check_phi_bijection() -> None:
-    for n in range(1, 8):
-        images = {phi(dec) for dec in enumerate_decompositions(1, n)}
-        assert len(images) == decomposition_counts(1, n)[n], n
-        assert images == enumerate_necs(n), n
-
-
-def _check_phi_preserves_lcm() -> None:
-    for n in range(1, 7):
-        for dec in enumerate_decompositions(1, n):
-            system = phi(dec)
-            assert necs_lcm(system) == lcm_of(dec)[0], dec
-            assert necs_gcd(system) == gcd_of(dec)[0], dec
-
-
-def _check_psi_onto() -> None:
-    for n in range(1, 6):
-        image = {psi(tree, 2) for tree in enumerate_trees(2, n)}
-        assert image == enumerate_decompositions(2, n), n
-
-
-def _check_psi_collisions() -> None:
-    t1 = (1,) + ((),) * 6
-    t2 = (1, (1, (), (), ()), (1, (), (), ()))
-    assert psi(t1, 1) == psi(t2, 1)
-    t3 = (1, (2, (), (), ()), (2, (), (), ()))
-    t4 = (2, (1, (), ()), (1, (), ()), (1, (), ()))
-    assert psi(t3, 2) == psi(t4, 2)
+        assert dec_by_lcm[ell] == h_count((ell,)), ell
+        assert necs_by_lcm[ell] == h_count((ell,)), ell
 
 
 def _check_ratio_injection() -> None:
@@ -535,32 +422,78 @@ def _check_truncation_stability() -> None:
             assert abs(v7 - v6) <= t6, (d, evaluator.__name__)
 
 
+# Rows are (check, provenance, check function).  Rows built by _agree compare a
+# fast path with its oracle or a frozen table; the rest need tolerances,
+# inequalities or several kinds of assertion.
 SUITES: Dict[str, List[Tuple[str, str, Callable[[], None]]]] = {
     "tables": [
-        ("mu-closed-form-vs-convolution", "series", _check_mu_closed_form),
-        ("mu-tables", "series", _check_mu_tables),
-        ("count-tables", "series", _check_count_tables),
-        ("series-round-trip", "series", _check_series_round_trip),
-        ("dual-reversion-agreement", "series", _check_dual_reversion),
+        ("mu-closed-form-vs-convolution", "series", _agree(
+            lambda: [(d, 200) for d in (1, 2, 3)], mobius_d_values, mobius_d_by_convolution)),
+        ("mu-tables", "series", _agree(
+            lambda: [(d, n) for d in MU_TABLE for n in range(1, 16)],
+            mobius_d, lambda d, n: MU_TABLE[d][n - 1])),
+        ("count-tables", "series", _agree(
+            lambda: [(d, 10) for d in S_TABLE],
+            lambda d, n: (decomposition_counts(d, n)[1:], auxiliary_counts(d, n)),
+            lambda d, n: (S_TABLE[d], A_TABLE[d]))),
+        ("series-round-trip", "series", _agree(
+            lambda: [(d, 40) for d in (1, 2, 3)],
+            lambda d, n: mobius_series(d, n).compose(decomposition_series(d, n)).coeffs,
+            lambda d, n: (0, 1) + (0,) * (n - 1))),
+        ("dual-reversion-agreement", "series", _agree(
+            lambda: [(d, 40) for d in (1, 2, 3)], decomposition_counts, _revert_by_extraction)),
         ("tree-count-tables", "series", _check_tree_tables),
-        ("lcm-count-tables", "recursion", _check_lcm_tables),
+        ("lcm-count-tables", "recursion", _agree(
+            lambda: [(n,) for n in range(1, 17)],
+            lambda n: (g_count((n,)), h_count((n,))),
+            lambda n: (G_ROW[n - 1], H_ROW[n - 1]))),
         ("growth-goldens", "saddle", _check_growth_goldens),
     ],
     "oracles": [
-        ("decomposition-enumeration-counts", "enumeration", _check_decomposition_enumeration),
-        ("necs-enumeration-counts", "enumeration", _check_necs_enumeration),
+        ("decomposition-enumeration-counts", "enumeration", _agree(
+            lambda: ((1, 7), (2, 5)),
+            lambda d, n: list(map(len, enumerate_decompositions_up_to(d, n).values())),
+            lambda d, n: decomposition_counts(d, n)[1:])),
+        ("necs-enumeration-counts", "enumeration", _agree(
+            lambda: ((1, 7),),
+            lambda d, n: list(map(len, enumerate_necs_up_to(n).values())),
+            lambda d, n: decomposition_counts(d, n)[1:])),
         ("refined-counts-vs-enumeration", "enumeration", _check_refined_oracle),
-        ("tree-enumeration-counts", "enumeration", _check_tree_enumeration),
-        ("prime-set-cardinalities", "enumeration", _check_prime_set_counts),
-        ("sequence-signed-sums", "enumeration", _check_signed_sums),
-        ("reduced-counts-line", "enumeration", _check_reduced_counts_line),
+        ("tree-enumeration-counts", "enumeration", _agree(
+            lambda: [(d, n) for d in (1, 2) for n in range(1, 8)],
+            lambda d, n: len(enumerate_trees(d, n)),
+            lambda d, n: tree_counts(d, n).coefficient(n))),
+        ("prime-set-cardinalities", "enumeration", _agree(
+            lambda: [(d, n) for d in (1, 2, 3) for n in range(1, 13)],
+            lambda d, n: len(enumerate_B(d, n)),
+            lambda d, n: abs(mobius_d(d, n + 1)))),
+        ("sequence-signed-sums", "enumeration", _agree(
+            lambda: [(d, n) for d in (1, 2) for n in range(1, 11)],
+            signed_sum, lambda d, n: auxiliary_counts(d, n)[n])),
+        ("reduced-counts-line", "enumeration", _agree(
+            lambda: [(1, n) for n in range(1, 11)],
+            lambda d, n: len(enumerate_A_tilde(d, n)),
+            lambda d, n: auxiliary_counts(d, n)[n])),
         ("lcm-count-oracle", "enumeration", _check_lcm_oracle),
     ],
     "bijection": [
-        ("covering-map-bijective", "enumeration", _check_phi_bijection),
-        ("covering-map-preserves-gcd-lcm", "enumeration", _check_phi_preserves_lcm),
-        ("tree-map-onto", "enumeration", _check_psi_onto),
-        ("tree-map-collisions", "enumeration", _check_psi_collisions),
+        ("covering-map-bijective", "enumeration", _agree(
+            lambda: [(n,) for n in range(1, 8)],
+            lambda n: Counter(map(phi, enumerate_decompositions(1, n))),
+            lambda n: Counter(enumerate_necs(n)))),
+        ("covering-map-preserves-gcd-lcm", "enumeration", _agree(
+            lambda: [(dec,) for n in range(1, 7) for dec in enumerate_decompositions(1, n)],
+            lambda dec: (necs_lcm(phi(dec)), necs_gcd(phi(dec))),
+            lambda dec: (lcm_of(dec)[0], gcd_of(dec)[0]))),
+        ("tree-map-onto", "enumeration", _agree(
+            lambda: [(n,) for n in range(1, 6)],
+            lambda n: {psi(tree, 2) for tree in enumerate_trees(2, n)},
+            lambda n: enumerate_decompositions(2, n))),
+        ("tree-map-collisions", "enumeration", _agree(
+            lambda: (("(1 L L L L L L)", "(1 (1 L L L) (1 L L L))", 1),
+                     ("(1 (2 L L L) (2 L L L))", "(2 (1 L L) (1 L L) (1 L L))", 2)),
+            lambda t, u, d: psi(parse_tree(t), d),
+            lambda t, u, d: psi(parse_tree(u), d))),
         ("ratio-injection", "enumeration", _check_ratio_injection),
     ],
     "asymptotics": [
@@ -573,7 +506,8 @@ SUITES: Dict[str, List[Tuple[str, str, Callable[[], None]]]] = {
 
 
 def _cmd_verify(args) -> int:
-    names = ["tables", "oracles", "bijection", "asymptotics"] if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    params = {"suite": args.suite}
     failed = 0
     total = 0
     for suite in names:
@@ -585,18 +519,12 @@ def _cmd_verify(args) -> int:
             except AssertionError as exc:
                 failed += 1
                 status, detail = "fail", str(exc)
-            if args.format == "csv":
-                print(f"{suite},{name},{status}")
-            else:
-                result = {"suite": suite, "check": name, "status": status}
-                if detail:
-                    result["detail"] = detail
-                print(_record("verify", {"suite": args.suite}, provenance, result))
-    if args.format == "csv":
-        print(f"total,{total},failed,{failed}")
-    else:
-        print(_record("verify", {"suite": args.suite}, "enumeration",
-                      {"total": total, "failed": failed}))
+            result = {"suite": suite, "check": name, "status": status}
+            if detail:
+                result["detail"] = detail
+            _emit(args.format, f"{suite},{name},{status}", "verify", params, provenance, result)
+    _emit(args.format, f"total,{total},failed,{failed}", "verify", params, "enumeration",
+          {"total": total, "failed": failed})
     return 2 if failed else 0
 
 
@@ -669,8 +597,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_lcm_count)
 
     p = sub.add_parser("verify", parents=[common], help="run self-check suites")
-    p.add_argument("--suite", choices=("tables", "oracles", "bijection", "asymptotics", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -35,8 +35,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Set, Tuple
 
-from .number_theory import divisors, factorize
-
 Interval = Tuple[Fraction, Fraction]
 Region = Tuple[Interval, ...]
 
@@ -194,13 +192,20 @@ def _search(grid: Grid):
 
     A multi-region grid must admit a first split: an axis and a prime arity
     p whose p cells are each split-generated (refining the q-slab grid
-    implies refining the p-slab grid for every prime p | q).
+    implies refining the p-slab grid for every prime p | q).  Only arities up
+    to the region count can cut a grid, so L is trial-divided only up to that count.
     """
     Ls, regions = grid
     if len(regions) == 1:
         return max(Ls) == 1 and regions[0] == (0, 1) * len(Ls)
     for axis, L in enumerate(Ls):
-        for p, _ in factorize(L):
+        p = 1
+        while p < len(regions) and L > 1:
+            p += 1
+            if L % p:
+                continue
+            while L % p == 0:  # so each p that divides what is left of L is prime
+                L //= p
             cells = _cells(grid, axis, p)
             if cells is not None:
                 for cell in cells:
@@ -240,8 +245,7 @@ def _axis_gcd(grid: Grid, axis: int) -> Tuple[int, List[Grid]]:
     The feasible r are the divisors of the largest, so it is the first one
     found from the top among the divisors of L_axis up to the region count.
     """
-    n = len(grid[1])
-    for r in reversed([r for r in divisors(grid[0][axis]) if 1 < r <= n]):
+    for r in range(min(len(grid[1]), grid[0][axis]), 1, -1):
         cells = _cells(grid, axis, r)
         if cells is not None and all(map(_generated, cells)):
             return r, cells

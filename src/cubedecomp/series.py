@@ -61,34 +61,9 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[:order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs[:n + 1], other.coeffs[:n + 1])))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs[:n + 1], other.coeffs[:n + 1])))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         return TruncatedSeries(tuple(_mul_trunc(self.coeffs, other.coeffs, n)))
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * v for v in self.coeffs))
-
-    def power(self, k: int) -> "TruncatedSeries":
-        """self**k truncated at self.order, by repeated multiplication."""
-        if k < 0:
-            raise ValueError(f"power must be >= 0, got {k}")
-        result = TruncatedSeries((1,) + (0,) * self.order)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)); inner must have zero constant term.
@@ -104,9 +79,6 @@ class TruncatedSeries:
             acc = acc * inner
             acc = TruncatedSeries((acc.coeffs[0] + self.coeffs[k],) + acc.coeffs[1:])
         return acc
-
-    def to_decimal_strings(self) -> List[str]:
-        return [str(c) for c in self.coeffs]
 
 
 def series_from_list(coeffs: Sequence[int]) -> TruncatedSeries:

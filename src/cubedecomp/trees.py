@@ -32,24 +32,31 @@ def is_leaf(tree: PlaneTree) -> bool:
     return len(tree) == 0
 
 
+def _preorder(tree) -> Iterator:
+    """The nodes in preorder from an explicit stack, in tuple or JSON form alike.
+
+    A node's children node[1:] (a leaf, () or "L", has none) are read only after
+    the caller has seen the node, so the caller may check it first."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node[1:]))
+
+
 def leaf_count(tree: PlaneTree) -> int:
-    if is_leaf(tree):
-        return 1
-    return sum(leaf_count(child) for child in tree[1:])
+    return sum(map(is_leaf, _preorder(tree)))
 
 
 def validate_tree(tree: PlaneTree, d: int) -> None:
     """Raise ValueError unless every internal node has a label in 1..d and >= 2 children."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node in _preorder(tree):
         if not is_leaf(node):
             label = node[0]
             if not isinstance(label, int) or not 1 <= label <= d:
                 raise ValueError(f"internal node label {label!r} outside 1..{d}")
             if len(node) < 3:
                 raise ValueError("internal node must have at least 2 children")
-            stack.extend(reversed(node[1:]))
 
 
 def _compositions(n: int, r: int) -> Iterator[Tuple[int, ...]]:
@@ -139,9 +146,18 @@ def psi(tree: PlaneTree, d: int) -> Decomposition:
 
 def format_tree(tree: PlaneTree) -> str:
     """Parenthesised text form: leaf is "L", internal is "(label child ...)"."""
-    if is_leaf(tree):
-        return "L"
-    return "(" + " ".join([str(tree[0])] + [format_tree(c) for c in tree[1:]]) + ")"
+    words: List[str] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:  # pushed below the children of a node, so that node closes here
+            words[-1] += ")"
+        elif is_leaf(node):
+            words.append("L")
+        else:
+            words.append(f"({node[0]}")
+            stack += [None, *reversed(node[1:])]
+    return " ".join(words)
 
 
 def parse_tree(text: str) -> PlaneTree:
@@ -177,14 +193,29 @@ def parse_tree(text: str) -> PlaneTree:
 
 def tree_to_json(tree: PlaneTree) -> Union[str, list]:
     """JSON form: "L" for a leaf, [label, child, ...] for an internal node."""
-    if is_leaf(tree):
-        return "L"
-    return [tree[0]] + [tree_to_json(c) for c in tree[1:]]
+    root: list = []
+    stack = [(tree, root)]
+    while stack:  # each node's list is appended to its parent's, then filled
+        node, parent = stack.pop()
+        parent.append("L" if is_leaf(node) else [node[0]])
+        stack.extend((child, parent[-1]) for child in reversed(node[1:]))
+    return root[0]
 
 
 def tree_from_json(obj: Union[str, list]) -> PlaneTree:
-    if obj == "L":
-        return LEAF
-    if not isinstance(obj, list) or len(obj) < 3 or not isinstance(obj[0], int):
-        raise ValueError(f"malformed tree JSON: {obj!r}")
-    return (obj[0], *(tree_from_json(c) for c in obj[1:]))
+    """Inverse of tree_to_json; raises ValueError on the first malformed node in preorder."""
+    nodes = []
+    for node in _preorder(obj):
+        if node != "L" and not (isinstance(node, list) and len(node) >= 3
+                                and isinstance(node[0], int)):
+            raise ValueError(f"malformed tree JSON: {node!r}")
+        nodes.append(node)
+    built: List[PlaneTree] = []
+    for node in reversed(nodes):  # a node's children are then the last built, last first
+        if node == "L":
+            built.append(LEAF)
+        else:
+            children = built[1 - len(node):]
+            del built[1 - len(node):]
+            built.append((node[0], *reversed(children)))
+    return built[0]

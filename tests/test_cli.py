@@ -240,6 +240,11 @@ def test_growth_rejects_tol_that_is_not_finite_and_positive(capsys, tol):
     one_line_error(capsys, ["growth", "--d", "1", f"--tol={tol}"])
 
 
+def test_growth_rejects_tol_that_bisection_cannot_reach(capsys):
+    # |M_1'| at the last binary64 midpoint is about 2e-16
+    one_line_error(capsys, ["growth", "--d", "1", "--tol", "1e-17"])
+
+
 def test_psi_command(tmp_path, capsys):
     src = tmp_path / "tree.json"
     src.write_text(json.dumps({"d": 2, "tree": "(2 L L L)"}))
@@ -266,13 +271,68 @@ def test_verify_suites_pass(capsys):
     assert recs[-1]["result"]["total"] == len(recs) - 1
 
 
-def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.S_TABLE, 2, [1, 2, 10, 59, 999])
+VERIFY_CHECKS = [
+    ("tables", "mu-closed-form-vs-convolution", "series"),
+    ("tables", "mu-tables", "series"),
+    ("tables", "count-tables", "series"),
+    ("tables", "series-round-trip", "series"),
+    ("tables", "dual-reversion-agreement", "series"),
+    ("tables", "tree-count-tables", "series"),
+    ("tables", "lcm-count-tables", "recursion"),
+    ("tables", "growth-goldens", "saddle"),
+    ("oracles", "decomposition-enumeration-counts", "enumeration"),
+    ("oracles", "necs-enumeration-counts", "enumeration"),
+    ("oracles", "refined-counts-vs-enumeration", "enumeration"),
+    ("oracles", "tree-enumeration-counts", "enumeration"),
+    ("oracles", "prime-set-cardinalities", "enumeration"),
+    ("oracles", "sequence-signed-sums", "enumeration"),
+    ("oracles", "reduced-counts-line", "enumeration"),
+    ("oracles", "lcm-count-oracle", "enumeration"),
+    ("bijection", "covering-map-bijective", "enumeration"),
+    ("bijection", "covering-map-preserves-gcd-lcm", "enumeration"),
+    ("bijection", "tree-map-onto", "enumeration"),
+    ("bijection", "tree-map-collisions", "enumeration"),
+    ("bijection", "ratio-injection", "enumeration"),
+    ("asymptotics", "saddle-certification", "saddle"),
+    ("asymptotics", "growth-bounds", "saddle"),
+    ("asymptotics", "series-ratio-consistency", "saddle"),
+    ("asymptotics", "truncation-stability", "saddle"),
+]
+
+
+def test_verify_all_reports_every_check_in_order(capsys):
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    recs = records(out)
+    assert [(r["result"]["suite"], r["result"]["check"], r["provenance"])
+            for r in recs[:-1]] == VERIFY_CHECKS
+    assert all(r["result"]["status"] == "pass" for r in recs[:-1])
+    assert recs[-1]["result"] == {"total": 25, "failed": 0}
+
+
+# One wrong entry in each frozen table: (table, key or index, new entry, the check it breaks)
+CORRUPTIONS = [
+    ("MU_TABLE", 2, [1, -2, -2, 1, -2, 4, -2, 0, 1, 4, -2, -2, -2, 4, 5], "mu-tables"),
+    ("S_TABLE", 2, [1, 2, 10, 59, 999], "count-tables"),
+    ("A_TABLE", 3, [1, 3, 12, 42, 156, 558, 2028, 7318, 26490, 95730, 346219], "count-tables"),
+    ("G_ROW", 5, 13, "lcm-count-tables"),
+    ("H_ROW", 15, 652, "lcm-count-tables"),
+    ("SCHROEDER", 6, 904, "tree-count-tables"),
+    ("GROWTH_EXCESS", 3, 0.00718, "growth-goldens"),
+]
+
+
+@pytest.mark.parametrize("table, key, entry, check", CORRUPTIONS,
+                         ids=[c[0] for c in CORRUPTIONS])
+def test_verify_failure_exit_code(capsys, monkeypatch, table, key, entry, check):
+    corrupted = getattr(cli, table).copy()
+    corrupted[key] = entry
+    monkeypatch.setattr(cli, table, corrupted)
     code, out = run(capsys, "verify", "--suite", "tables")
     assert code == 2
     recs = records(out)
-    assert any(r["result"].get("status") == "fail" for r in recs)
-    assert recs[-1]["result"]["failed"] >= 1
+    assert [r["result"]["check"] for r in recs if r["result"].get("status") == "fail"] == [check]
+    assert recs[-1]["result"]["failed"] == 1
 
 
 def test_usage_errors_exit_one(capsys):

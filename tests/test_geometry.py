@@ -1,6 +1,7 @@
 """Exact region geometry, split generation, grid gcd/lcm, and enumeration."""
 
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
@@ -276,10 +277,13 @@ def test_gcd_of_rejects_inputs_that_are_not_split_generated():
         quarter_cell,
         interval_dec(F(1, 3), F(1, 2)),
         Decomposition(1, (((F(0), F(1, 2)),),)),
+        interval_dec(F(1, 10000000000000061)),  # a large prime grid size: only 2 can cut it
     ):
+        start = time.perf_counter()
         assert not is_split_generated(bad)
         with pytest.raises(ValueError):
             gcd_of(bad)
+        assert time.perf_counter() - start < 0.5
     docstring_example = interval_dec(F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(3, 4))
     assert restrict_rescale(docstring_example, ((F(0), F(1, 4)),)) == quarter_cell
     assert gcd_of(docstring_example) == (2,)

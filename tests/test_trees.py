@@ -64,7 +64,8 @@ def test_tree_counts_satisfy_quadratic_equation(d):
     order = 300
     t = tree_counts(d, order)
     x = series_from_list([0, 1] + [0] * (order - 1))
-    assert t == x - x * t + (t * t).scale(d + 1)
+    rhs = [u - v + (d + 1) * w for u, v, w in zip(x.coeffs, (x * t).coeffs, (t * t).coeffs)]
+    assert list(t.coeffs) == rhs
 
 
 @pytest.mark.parametrize("d,max_n", [(1, 6), (2, 5), (3, 4)])
@@ -166,6 +167,10 @@ def test_deep_trees_need_no_recursion():
     assert len(dec) == depth + 1
     edges = [1 - F(1, 2 ** k) for k in range(depth + 1)] + [F(1)]
     assert dec.regions == tuple(((lo, hi), (F(0), F(1))) for lo, hi in zip(edges, edges[1:]))
+    assert leaf_count(tree) == depth + 1
+    assert format_tree(tree) == text
+    # == on the nested tuples would itself recurse, so compare through the text form
+    assert format_tree(tree_from_json(tree_to_json(tree))) == text
 
 
 @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
