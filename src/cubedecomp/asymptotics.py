@@ -32,6 +32,7 @@ from typing import Tuple
 from .number_theory import mobius_d_values
 
 DEFAULT_K = 6
+MAX_K = 16  # the table holds 2^k - 1 terms; k = 6..16 give bit-identical saddles
 DEFAULT_TOL = 1e-12
 
 
@@ -45,8 +46,8 @@ def _check_args(d: int, x: float, k: int, upper: float) -> None:
         raise ValueError(f"d must be >= 1, got {d}")
     if d >= 2 and k < 3:
         raise ValueError(f"tail bounds need k >= 3 for d >= 2, got k={k}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
     if not 0 <= x <= upper:
         raise ValueError(f"x={x} outside certified range [0, {upper}] for d={d}")
 

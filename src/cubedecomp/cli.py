@@ -33,7 +33,7 @@ from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .asymptotics import check_growth_bounds, eval_M, eval_M_second, find_saddle
+from .asymptotics import MAX_K, check_growth_bounds, eval_M, eval_M_second, find_saddle
 from .covering import (
     Necs,
     enumerate_necs,
@@ -240,10 +240,7 @@ def _cmd_enum(args) -> int:
               {"count": len(objs), "emitted": args.emit})
         return 0
     for obj in objs:
-        if args.format == "csv":
-            print(to_text(obj))
-        else:
-            print(_record("enum", params, "enumeration", to_json(obj)))
+        _emit(args.format, to_text(obj), "enum", params, "enumeration", to_json(obj))
     return 0
 
 
@@ -583,7 +580,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("growth", parents=[common], help="growth rates K_d")
     p.add_argument("--d", type=_parse_range, required=True, metavar="D1..D2")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--k", type=int, default=6, help="truncation exponent")
+    p.add_argument("--k", type=int, default=6, help=f"truncation exponent, 1..{MAX_K}")
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("lcm-count", parents=[common],

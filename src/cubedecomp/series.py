@@ -11,21 +11,21 @@ central series, all tied to the d-fold Moebius function mu_d:
                (`auxiliary_counts`)
 
 The inverse is computed by Lagrange inversion through the auxiliary series:
-y = x*phi(y) with phi(z) = z/M_d(z), hence n*s_d(n) = [z^(n-1)] phi(z)^n.
-Only one coefficient of each power is needed, so the powers are not all
-multiplied out: with B ~ sqrt(N), the baby steps phi^0..phi^(B-1) and the
-giant steps phi^B, phi^2B, ... give every coefficient as one dot product
-(Brent & Kung's baby-step/giant-step scheme), about 2*sqrt(N) truncated
-multiplications in place of N, all on nonnegative coefficients.
-`refined_counts` reuses powers the same way (Paterson & Stockmeyer).
+y = x*phi(y) with phi(z) = z/M_d(z).  By Lagrange-Buermann every series H(y)
+has n*[x^n] H(y) = [z^(n-1)] H'(z) phi(z)^n; H(z) = z gives s_d, and
+H(z) = M_d(z^P) gives the refined counts.  Only one coefficient of each power
+is needed, so the powers are not all multiplied out: with B ~ sqrt(N), the
+baby steps phi^0..phi^(B-1) and the giant steps phi^B, phi^2B, ... give every
+coefficient as one dot product (Brent & Kung's baby-step/giant-step scheme),
+about 2*sqrt(N) truncated multiplications in place of N, plus B for H'*phi^j.
 The auxiliary coefficients come from their O(N^2) recurrence with the terms
 grouped by the few values of mu_d: one big-integer addition per nonzero term.
 `_revert_by_extraction` is a slower independent scheme kept as a cross-check.
 """
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Dict, List, Sequence, Tuple
+from math import isqrt, prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .number_theory import mobius_d_values
 
@@ -120,34 +120,44 @@ def auxiliary_counts(d: int, max_n: int) -> List[int]:
     return a
 
 
-def decomposition_counts(d: int, max_n: int) -> List[int]:
-    """[0, s_d(1), ..., s_d(max_n)]: coefficients of the inverse of M_d.
+def _lagrange(phi: List[int], max_n: int, weight: Optional[List[int]] = None) -> List[int]:
+    """[0, c_1, ..., c_max_n] with n*c_n = [z^(n-1)] weight(z) phi(z)^n.
 
-    Lagrange inversion: n*s_d(n) = [z^(n-1)] phi(z)^n with phi = z/M_d(z).
-    Writing n = i*B + j with 0 <= j < B and B = isqrt(max_n - 1) + 1, the
-    coefficient is the dot product of phi^(iB) and phi^j up to z^(n-1).  The
-    B baby steps and the max_n // B giant steps cost about 2*sqrt(max_n)
-    truncated multiplications, O(N^2.5) coefficient products in all.
+    By Lagrange-Buermann these are the coefficients of H(y) with H' = weight
+    (default 1, so H(z) = z) and y = x*phi(y); phi holds phi_0..phi_(max_n-1).
+    Writing n = i*B + j with 0 <= j < B and B = isqrt(max_n - 1) + 1, c_n is
+    the dot product of phi^(iB) and weight*phi^j up to z^(n-1).  The B baby
+    steps, the B weighted ones and the max_n // B giant steps cost about
+    2*sqrt(max_n) (3 with a weight) truncated multiplications.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     order = max_n - 1
-    phi = auxiliary_counts(d, order)
     step = isqrt(order) + 1
     baby = [[1] + [0] * order, phi]
     for _ in range(step - 1):
         baby.append(_mul_trunc(baby[-1], phi, order))
+    inner = baby if weight is None else [_mul_trunc(weight, p, order) for p in baby[:step]]
     giant = baby[0]
-    s = [0] * (max_n + 1)
+    c = [0] * (max_n + 1)
     for n in range(1, max_n + 1):
         i, j = divmod(n, step)
         if j == 0:
             giant = _mul_trunc(giant, baby[step], order) if i > 1 else baby[step]
-        q, r = divmod(sum(map(int.__mul__, giant[:n], baby[j][n - 1::-1])), n)
+        q, r = divmod(sum(map(int.__mul__, giant[:n], inner[j][n - 1::-1])), n)
         if r:
             raise ArithmeticError(f"inversion coefficient at n={n} not divisible by n")
-        s[n] = q
-    return s
+        c[n] = q
+    return c
+
+
+def decomposition_counts(d: int, max_n: int) -> List[int]:
+    """[0, s_d(1), ..., s_d(max_n)]: coefficients of the inverse of M_d.
+
+    Lagrange inversion: n*s_d(n) = [z^(n-1)] phi(z)^n with phi = z/M_d(z),
+    O(N^2.5) coefficient products in all.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    return _lagrange(auxiliary_counts(d, max_n - 1), max_n)
 
 
 def decomposition_series(d: int, order: int) -> TruncatedSeries:
@@ -179,43 +189,23 @@ def _revert_by_extraction(d: int, max_n: int) -> List[int]:
 def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:
     """[x^n] counts of n-region decompositions of (0,1)^d with grid-gcd exactly r.
 
-    Generating function sum_{m>=1} mu_d(m) y(x)^(P*m) with P = prod(r_i):
-    replacing a decomposition's gcd grid cells by arbitrary sub-decompositions
-    and Moebius-inverting over coarsenings.  y^P is built by square-and-multiply
-    and the sum over m by Paterson-Stockmeyer.
+    Generating function M_d(y(x)^P) = sum_{m>=1} mu_d(m) y^(P*m) with
+    P = prod(r_i): replacing a decomposition's gcd grid cells by arbitrary
+    sub-decompositions and Moebius-inverting over coarsenings.  Its
+    coefficients come from the same extraction as s_d, weighted by
+    H'(z) = sum_m P*m*mu_d(m) z^(P*m-1).
     """
     if len(r) != d:
         raise ValueError(f"refinement vector has length {len(r)}, expected d={d}")
     if any(ri < 1 for ri in r):
         raise ValueError(f"refinement arities must be >= 1, got {r}")
-    prod = 1
-    for ri in r:
-        prod *= ri
-    out = [0] * (max_n + 1)
-    if prod > max_n:
-        return out
-    y = decomposition_counts(d, max_n)
-    top = max_n // prod
-    mu = mobius_d_values(d, top)
-    # Y = y^P by square-and-multiply: O(log P) truncated products.
-    y_pow_prod, square, e = None, y, prod
-    while e:
-        if e & 1:
-            y_pow_prod = square if y_pow_prod is None else _mul_trunc(y_pow_prod, square, max_n)
-        e >>= 1
-        if e:
-            square = _mul_trunc(square, square, max_n)
-    # Paterson-Stockmeyer: sum_m mu(m) Y^m with Y = y^P is a polynomial in
-    # Y^b whose coefficients are integer combinations of Y^0..Y^(b-1).
-    b = isqrt(top)
-    powers = [[1] + [0] * max_n, y_pow_prod]
-    for _ in range(b - 1):
-        powers.append(_mul_trunc(powers[-1], y_pow_prod, max_n))
-    last = top // b
-    for k in range(last, -1, -1):
-        if k < last:
-            out = _mul_trunc(out, powers[b], max_n)
-        for c, p in zip(mu[k * b:(k + 1) * b], powers):
-            if c:
-                out = [u + c * v for u, v in zip(out, p)]
-    return out
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    cells = prod(r)
+    if cells > max_n:
+        return [0] * (max_n + 1)
+    mu = mobius_d_values(d, max_n // cells)
+    weight = [0] * max_n
+    for m in range(1, len(mu)):
+        weight[cells * m - 1] = cells * m * mu[m]
+    return _lagrange(auxiliary_counts(d, max_n - 1), max_n, weight)

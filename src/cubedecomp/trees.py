@@ -53,7 +53,7 @@ def validate_tree(tree: PlaneTree, d: int) -> None:
     for node in _preorder(tree):
         if not is_leaf(node):
             label = node[0]
-            if not isinstance(label, int) or not 1 <= label <= d:
+            if type(label) is not int or not 1 <= label <= d:  # bool is an int subclass
                 raise ValueError(f"internal node label {label!r} outside 1..{d}")
             if len(node) < 3:
                 raise ValueError("internal node must have at least 2 children")
@@ -207,7 +207,7 @@ def tree_from_json(obj: Union[str, list]) -> PlaneTree:
     nodes = []
     for node in _preorder(obj):
         if node != "L" and not (isinstance(node, list) and len(node) >= 3
-                                and isinstance(node[0], int)):
+                                and type(node[0]) is int):
             raise ValueError(f"malformed tree JSON: {node!r}")
         nodes.append(node)
     built: List[PlaneTree] = []

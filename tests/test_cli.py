@@ -245,6 +245,16 @@ def test_growth_rejects_tol_that_bisection_cannot_reach(capsys):
     one_line_error(capsys, ["growth", "--d", "1", "--tol", "1e-17"])
 
 
+@pytest.mark.parametrize("k", ["17", "40", "70"])
+def test_growth_rejects_k_beyond_the_limit(capsys, k):
+    # the table holds 2^k - 1 terms: k = 40 ran out of memory, k = 70 overflowed
+    one_line_error(capsys, ["growth", "--d", "1", "--k", k])
+
+
+def test_psi_rejects_boolean_label(capsys, monkeypatch):
+    one_line_error(capsys, ["psi", "--in", "-"], '{"d":1,"tree":[true,"L","L"]}', monkeypatch)
+
+
 def test_psi_command(tmp_path, capsys):
     src = tmp_path / "tree.json"
     src.write_text(json.dumps({"d": 2, "tree": "(2 L L L)"}))
@@ -346,6 +356,7 @@ def test_domain_errors_exit_one(capsys):
     assert cli.main(["mu", "--d", "-1", "--n", "1..5"]) == 1
     assert cli.main(["mu", "--d", "-1", "--n", "1..5000"]) == 1
     assert cli.main(["refined", "--d", "2", "--r", "2", "--max-n", "5"]) == 1
+    assert cli.main(["refined", "--d", "1", "--r", "2", "--max-n", "-3"]) == 1
 
 
 def test_threads_flag_accepted(capsys):

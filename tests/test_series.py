@@ -156,13 +156,13 @@ def test_refined_counts_partition_in_dimension_two():
         assert total == s[n]
 
 
-# P = prod(r) = 1 with max_n // P at the edges of the Paterson-Stockmeyer blocks,
-# then larger products, where y^P has valuation P and is built by squaring:
-# P = 4, 16 (one set bit), 6, 7, 9 (several).
+# P = prod(r) = 1 with max_n at the edges of the giant steps (B = isqrt(max_n - 1) + 1),
+# then larger products, up to P = max_n, where only the weight's first term is left.
 @pytest.mark.parametrize("d, r, max_n", [
     (1, (1,), 1), (1, (1,), 3), (1, (1,), 4), (1, (1,), 8), (1, (1,), 9), (1, (1,), 10),
     (2, (1, 1), 30), (1, (3,), 30), (2, (2, 1), 25), (2, (3, 2), 40), (3, (2, 1, 1), 25),
     (2, (2, 2), 40), (1, (7,), 40), (1, (9,), 40), (2, (4, 4), 48),
+    (2, (5, 5), 25), (1, (26,), 26),
 ])
 def test_refined_counts_match_composition(d, r, max_n):
     # sum_m mu_d(m) y^(P m), evaluated independently by Horner in TruncatedSeries
@@ -174,8 +174,18 @@ def test_refined_counts_match_composition(d, r, max_n):
     assert refined_counts(d, r, max_n) == list(expected.coeffs)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_refined_counts_with_unit_grid_give_the_functional_equation(d):
+    # r = (1,...,1): the generating function is M_d(y) = x
+    for max_n in (1, 2, 3, 4, 5, 9, 10, 16, 17, 40):
+        assert refined_counts(d, (1,) * d, max_n) == [0, 1] + [0] * (max_n - 1)
+
+
 def test_refined_counts_validation():
     with pytest.raises(ValueError):
         refined_counts(2, (2,), 5)
     with pytest.raises(ValueError):
         refined_counts(1, (0,), 5)
+    with pytest.raises(ValueError):
+        refined_counts(1, (2,), -3)
+    assert refined_counts(1, (2,), 0) == [0]

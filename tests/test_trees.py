@@ -53,6 +53,19 @@ def test_validate_tree():
         validate_tree((1, LEAF), d=1)
 
 
+def test_boolean_labels_are_rejected():
+    # bool is an int subclass, but format_tree would write "(True L L)", which
+    # parse_tree rejects: a label is an int and nothing else
+    with pytest.raises(ValueError, match="outside 1..2"):
+        validate_tree((True, LEAF, LEAF), d=2)
+    with pytest.raises(ValueError, match="outside 1..2"):
+        psi((True, LEAF, (1, LEAF, LEAF)), 2)
+    with pytest.raises(ValueError, match="malformed tree JSON"):
+        tree_from_json([True, "L", "L"])
+    with pytest.raises(ValueError, match="malformed tree JSON"):
+        tree_from_json([1, "L", [False, "L", "L"]])
+
+
 @pytest.mark.parametrize("d,row", [(1, T1_ROW), (2, T2_ROW)])
 def test_tree_count_tables(d, row):
     assert list(tree_counts(d, 7).coeffs[1:]) == row
