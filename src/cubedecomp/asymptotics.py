@@ -3,11 +3,12 @@
 The ordinary generating series of the signed splitting weights,
 M_d(x) = sum mu_d(n) x^n, has a positive radius of convergence, and the
 counts' growth constant is K_d = 1/M_d(s) where s is the first positive root
-of M_d'.  Everything here evaluates M_d and its first two derivatives in
-binary64 from partial sums through n < 2^k, together with a certified bound
-on the discarded tail.  The tail bounds are certified; the sign of the
-partial sum is a binary64 decision, which near the root of M_d' is within
-rounding of zero and so is not certified there.
+of M_d'.  M_d, M_d' and M_d'' are the derivatives of one partial sum
+sum_{n < 2^k} mu_d(n) x^n; one Horner routine evaluates all three over the
+weights n(n-1)..(n-deriv+1) mu_d(n), rounded to binary64 once per (d, k) as a
+float + int addition would round them, with a certified bound on the discarded
+tail.  The sign of a partial sum is a binary64 decision, which near the root of
+M_d' is within rounding of zero and so is not certified there.
 
 Tail bounds.  A dyadic block n in [2^l, 2^(l+1)) has at most l prime factors
 with multiplicity, so |mu_d(n)| <= d^l there; summing blocks geometrically
@@ -25,7 +26,8 @@ d = 1, |mu(n)| <= 1 and the exact geometric tails are used instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Tuple
 
@@ -37,8 +39,20 @@ DEFAULT_TOL = 1e-12
 
 
 @lru_cache(maxsize=64)
-def _mu_table(d: int, k: int) -> Tuple[int, ...]:
-    return tuple(mobius_d_values(d, 2 ** k - 1))
+def _mu_table(d: int, k: int) -> Tuple[array, ...]:
+    """Per deriv = 0, 1, 2: n(n-1)..(n-deriv+1) mu_d(n) for n = 2^k - 1 down to deriv."""
+    mu = mobius_d_values(d, 2 ** k - 1) + [0]  # n = 2: the constant of an empty M_1'' sum
+    return tuple(array("d", (math.perm(n, j) * mu[n] for n in range(max(2 ** k - 1, j), j - 1, -1)))
+                 for j in range(3))
+
+
+def _partial_sum(d: int, x: float, k: int, deriv: int) -> float:
+    """The deriv-th derivative of sum_{n < 2^k} mu_d(n) x^n at x, by Horner."""
+    weights = _mu_table(d, k)[deriv]
+    value = 0.0
+    for c in weights[:-1]:
+        value = (value + c) * x
+    return value + weights[-1]
 
 
 def _check_args(d: int, x: float, k: int, upper: float) -> None:
@@ -55,11 +69,7 @@ def _check_args(d: int, x: float, k: int, upper: float) -> None:
 def eval_M(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     """(partial sum of M_d at x through n < 2^k, certified tail magnitude)."""
     _check_args(d, x, k, 1 / d if d >= 2 else math.nextafter(1.0, 0.0))
-    mu = _mu_table(d, k)
-    value = 0.0
-    for n in range(2 ** k - 1, 0, -1):
-        value = value * x + mu[n]
-    value *= x
+    value = _partial_sum(d, x, k, 0)
     big_n = 2 ** k
     if d == 1:
         tail = x ** big_n / (1 - x)
@@ -71,11 +81,7 @@ def eval_M(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
 def eval_M_prime(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     """(partial sum of M_d' at x through n < 2^k, certified tail magnitude)."""
     _check_args(d, x, k, 1 / (2 * d) if d >= 2 else math.nextafter(1.0, 0.0))
-    mu = _mu_table(d, k)
-    value = 0.0
-    for n in range(2 ** k - 1, 1, -1):
-        value = (value + n * mu[n]) * x
-    value += mu[1]
+    value = _partial_sum(d, x, k, 1)
     big_n = 2 ** k
     if d == 1:
         tail = x ** (big_n - 1) * (big_n / (1 - x) + x / (1 - x) ** 2)
@@ -90,11 +96,7 @@ def eval_M_second(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     big_n = 2 ** k
     if d >= 2 and 4 * d * x ** big_n >= 1:
         raise ValueError(f"second-derivative tail bound needs 4*d*x^(2^k) < 1 at x={x}")
-    mu = _mu_table(d, k)
-    value = 0.0
-    for n in range(2 ** k - 1, 2, -1):
-        value = (value + n * (n - 1) * mu[n]) * x
-    value += 2 * mu[2]
+    value = _partial_sum(d, x, k, 2)
     if d == 1:
         one = 1 - x
         tail = (big_n * (big_n - 1) * x ** (big_n - 2) / one
@@ -119,15 +121,7 @@ class SaddleResult:
     tail_bound_used: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "s": self.s,
-            "M_at_s": self.M_at_s,
-            "M2_at_s": self.M2_at_s,
-            "growth_rate": self.growth_rate,
-            "truncation_order": self.truncation_order,
-            "tail_bound_used": self.tail_bound_used,
-        }
+        return asdict(self)
 
 
 def saddle_bracket(d: int) -> Tuple[float, float]:
@@ -137,6 +131,8 @@ def saddle_bracket(d: int) -> Tuple[float, float]:
     bounds (k1 below the root, k2 above, both < 1/(2d)); for d = 1 a fixed
     interval found by scanning.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         return 0.1, 0.45
     k1 = (4 * d + 5) / ((4 * d + 5) * (2 * d + 1) + 1)
@@ -149,17 +145,17 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
     if not 0 < tol < math.inf:  # also rejects NaN, which would pass every tail check
         raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = saddle_bracket(d)
-    max_tail = 0.0
+    tails = []  # every M_d' tail bound seen, for tail_bound_used
 
     def signed(x: float) -> Tuple[float, float]:
         value, tail = eval_M_prime(d, x, k)
         if tail >= tol / 10:
             raise ValueError(
                 f"tail bound {tail} at x={x} too large for tol={tol}; increase k")
+        tails.append(tail)
         return value, tail
 
     f_lo, tail = signed(lo)
-    max_tail = max(max_tail, tail)
     # the closed-form lo certifies a majorant's sign, not M_d's own; back off
     # toward 0 (where M_d'(x) -> 1) in the rare case the true sign is uncertain
     while f_lo - tail <= 0:
@@ -167,9 +163,7 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
         if lo < 1e-6:
             raise RuntimeError(f"no certified positive left endpoint for d={d}")
         f_lo, tail = signed(lo)
-        max_tail = max(max_tail, tail)
     f_hi, tail = signed(hi)
-    max_tail = max(max_tail, tail)
     if f_hi + tail >= 0:
         raise RuntimeError(
             f"right endpoint {hi} not certified negative for d={d}: "
@@ -179,23 +173,19 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at binary64 resolution
             break
-        f_mid, tail = signed(mid)
-        max_tail = max(max_tail, tail)
+        f_mid, _ = signed(mid)
         if f_mid > 0:
             lo = mid
         else:
             hi = mid
     s = 0.5 * (lo + hi)
-    f_s, tail = signed(s)
-    max_tail = max(max_tail, tail)
+    f_s, _ = signed(s)
     if abs(f_s) > tol:
         raise ValueError(f"tol={tol} is below what binary64 bisection reaches: "
                          f"|M'({s})| = {abs(f_s)}")
 
-    m_value, tail = eval_M(d, s, k)
-    max_tail = max(max_tail, tail)
-    m2_value, tail = eval_M_second(d, s, k)
-    max_tail = max(max_tail, tail)
+    m_value, m_tail = eval_M(d, s, k)
+    m2_value, m2_tail = eval_M_second(d, s, k)
     if not m2_value < 0:
         raise RuntimeError(f"second derivative {m2_value} not negative at s={s}")
     return SaddleResult(
@@ -205,7 +195,7 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
         M2_at_s=m2_value,
         growth_rate=1 / m_value,
         truncation_order=2 ** k,
-        tail_bound_used=max_tail,
+        tail_bound_used=max(*tails, m_tail, m2_tail),
     )
 
 

@@ -256,10 +256,9 @@ def _cmd_psi(args) -> int:
     data = _load_json_input(args.infile)
     if not isinstance(data, dict):
         raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
-    try:
-        d = int(data["d"])
-    except TypeError:
-        raise ValueError(f"psi needs an integer d, got {data['d']!r}") from None
+    d = data["d"]
+    if type(d) is not int:
+        raise ValueError(f"psi needs an integer d, got {d!r}")
     raw = data["tree"]
     tree = parse_tree(raw) if isinstance(raw, str) else tree_from_json(raw)
     dec = psi(tree, d)

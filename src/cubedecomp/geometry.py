@@ -366,18 +366,20 @@ def decomposition_to_json_dict(dec: Decomposition) -> dict:
 def decomposition_from_json_dict(data: dict) -> Decomposition:
     """Inverse of decomposition_to_json_dict.
 
-    Raises ValueError on a malformed shape, and on an interval that does not
-    satisfy 0 <= lo < hi <= 1.  That the boxes tile the cube and are split
-    generated is not checked here.
+    Raises ValueError on a malformed shape, on a d that is not a JSON integer,
+    and on an interval that does not satisfy 0 <= lo < hi <= 1.  That the boxes
+    tile the cube and are split generated is not checked here.
     """
     try:
-        d = int(data["d"])
+        d = data["d"]
         regions = tuple(
             tuple((Fraction(lo), Fraction(hi)) for lo, hi in region)
             for region in data["regions"]
         )
     except TypeError as exc:
         raise ValueError(f"malformed decomposition JSON: {exc}") from None
+    if type(d) is not int:
+        raise ValueError(f"a decomposition needs an integer d, got {d!r}")
     if d < 1 or not regions:
         raise ValueError("a decomposition needs d >= 1 and at least one region")
     for region in regions:

@@ -64,6 +64,20 @@ def test_domain_guards():
         eval_M(2, 0.1, k=2)
     with pytest.raises(ValueError):
         eval_M(1, -0.2)
+    for call in (lambda: saddle_bracket(0), lambda: saddle_bracket(-1),
+                 lambda: find_saddle(0), lambda: asymptotic_estimate(0, 10)):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.7])
+def test_empty_second_derivative_sum(x):
+    # through n < 2 the partial sum of M_1'' has no term; the tail is all of M_1''
+    value, tail = eval_M_second(1, x, k=1)
+    assert value == 0.0
+    assert tail == pytest.approx(2 / (1 - x) ** 3, rel=1e-12)
+    assert eval_M(1, x, k=1)[0] == x
+    assert eval_M_prime(1, x, k=1)[0] == 1.0
 
 
 def test_saddle_results_are_critical_points():
@@ -76,6 +90,11 @@ def test_saddle_results_are_critical_points():
         assert res.M2_at_s < 0
         assert res.growth_rate == pytest.approx(1 / res.M_at_s, rel=1e-14)
         assert res.truncation_order == 2**DEFAULT_K
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 30])
+def test_saddle_is_the_same_at_the_largest_truncation(d):
+    assert find_saddle(d, k=16).s == find_saddle(d).s
 
 
 def test_saddle_golden_values():

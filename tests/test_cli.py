@@ -1,9 +1,12 @@
 """Command line interface: record schema, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,14 +210,21 @@ def test_phi_reads_stdin(capsys, monkeypatch):
     ("psi", [1, 2]),
     ("phi", {"d": 1, "regions": [[["0", "1/3"]], [["1/3", "1/2"]], [["1/2", "1"]]]}),
     ("phi", {"d": 1, "regions": [[["0", "1/2"]], [["0", "1/2"]], [["1/2", "1"]]]}),
+    ("phi", {"d": 1.5, "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
+    ("phi", {"d": True, "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
+    ("phi", {"d": "1", "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
 ])
 def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload):
     one_line_error(capsys, [command, "--in", "-"], json.dumps(payload), monkeypatch)
 
 
-@pytest.mark.parametrize("d", [None, [1], "x", 0])
-def test_psi_rejects_bad_dimension(capsys, monkeypatch, d):
-    one_line_error(capsys, ["psi", "--in", "-"], json.dumps({"d": d, "tree": "L"}), monkeypatch)
+@pytest.mark.parametrize("d, tree", [
+    (None, "L"), ([1], "L"), ("x", "L"), (0, "L"),
+    (2.9, "(2 L L)"), (True, "(1 L L)"), ("2", "(2 L L)"),
+], ids=["None", "d1", "x", "0", "float", "bool", "string"])
+def test_psi_rejects_bad_dimension(capsys, monkeypatch, d, tree):
+    # only a JSON integer is a dimension: 2.9, true and "2" are not read as 2, 1 and 2
+    one_line_error(capsys, ["psi", "--in", "-"], json.dumps({"d": d, "tree": tree}), monkeypatch)
 
 
 def test_psi_deep_tree(capsys, monkeypatch):
@@ -372,3 +382,23 @@ def test_console_script_round_trip():
     )
     assert proc.returncode == 0
     assert "cubedecomp 0.1.0" in proc.stdout + proc.stderr
+
+
+REFERENCES = json.loads((Path(__file__).resolve().parents[1] / "bench" / "references.json")
+                        .read_text(encoding="utf-8"))
+TABLE_COMMANDS = sorted(c for c, ref in REFERENCES.items() if ref["workload"] == "tables-cold")
+
+
+def test_table_commands_are_all_checked():
+    assert len(TABLE_COMMANDS) == 9
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_command_bytes_match_references(capsys, command):
+    # the same bytes the benchmark checks each table command against
+    code = cli.main(shlex.split(command))
+    out = capsys.readouterr().out.encode("utf-8")
+    ref = REFERENCES[command]
+    assert code == 0
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (ref["stdout_bytes"],
+                                                           ref["stdout_sha256"])
