@@ -55,9 +55,15 @@ def _partial_sum(d: int, x: float, k: int, deriv: int) -> float:
     return value + weights[-1]
 
 
-def _check_args(d: int, x: float, k: int, upper: float) -> None:
+def _check_d(d: int) -> None:
+    if type(d) is not int:  # a float or bool d would reach the integer tables
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+
+
+def _check_args(d: int, x: float, k: int, upper: float) -> None:
+    _check_d(d)
     if d >= 2 and k < 3:
         raise ValueError(f"tail bounds need k >= 3 for d >= 2, got k={k}")
     if not 1 <= k <= MAX_K:
@@ -131,8 +137,7 @@ def saddle_bracket(d: int) -> Tuple[float, float]:
     bounds (k1 below the root, k2 above, both < 1/(2d)); for d = 1 a fixed
     interval found by scanning.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     if d == 1:
         return 0.1, 0.45
     k1 = (4 * d + 5) / ((4 * d + 5) * (2 * d + 1) + 1)

@@ -256,10 +256,12 @@ def _cmd_psi(args) -> int:
     data = _load_json_input(args.infile)
     if not isinstance(data, dict):
         raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
-    d = data["d"]
+    try:
+        d, raw = data["d"], data["tree"]
+    except KeyError as exc:
+        raise ValueError(f"malformed psi input: missing field {exc}") from None
     if type(d) is not int:
         raise ValueError(f"psi needs an integer d, got {d!r}")
-    raw = data["tree"]
     tree = parse_tree(raw) if isinstance(raw, str) else tree_from_json(raw)
     dec = psi(tree, d)
     _emit(args.format, _decomposition_text(dec), "psi", {"in": args.infile}, "recursion",

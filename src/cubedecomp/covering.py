@@ -120,8 +120,8 @@ def phi(dec: "geometry.Decomposition") -> Necs:
     a smaller decomposition whose classes lift by a mod n -> j + r*a mod r*n.
     Lifts compose to a mod n -> A + M*a mod M*n, so an explicit stack holds
     (block in the integer grid form of geometry, A, M); a one-region block is
-    the class A mod M.  The gcd search uses the memo of is_split_generated,
-    keyed by that grid form.
+    the class A mod M.  Each block's r is read off the memoized gcd search
+    that also answers is_split_generated and gcd_of.
     """
     if dec.d != 1:
         raise ValueError(f"phi is defined on 1-dimensional decompositions, got d={dec.d}")
@@ -134,9 +134,11 @@ def phi(dec: "geometry.Decomposition") -> Necs:
         if len(grid[1]) == 1:
             classes.append(ResidueClass(a, m))
             continue
-        r, blocks = geometry._axis_gcd(grid, 0)
-        if r < 2:
+        gcd = geometry._gcd(grid)
+        if gcd is None:
             raise ValueError("a nontrivial decomposition must have gcd >= 2")
+        (r,) = gcd
+        blocks = geometry._cells(grid, 0, r)
         stack.extend((block, a + m * j, m * r) for j, block in enumerate(blocks))
     return Necs(tuple(classes))
 

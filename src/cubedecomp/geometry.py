@@ -17,10 +17,12 @@ endpoint on axis i lies on the grid (1/L_i)Z, L = lcm_of(S), so S becomes
 (L, regions), a region being the flat tuple (lo_1, hi_1, ..., lo_d, hi_d) of
 integers in 0..L_i.  With w = L_i / r, a region fits in the r-cell lo // w iff
 hi <= (lo // w + 1) w; restricting to that cell shifts it by a multiple of w
-and sets L_i = w.  Each axis of a cell is then divided by the gcd of L_i and
-its endpoints, which makes the form canonical: it keys the bounded memo of
-split-generation verdicts.  Fractions appear only where a Decomposition is
-read or built.
+and sets L_i = w.  A cell keeps its parent's scale, so the same cell reached
+by two routes has the same form (L/r/s = L/(rs)).  One search computes a
+grid's gcd vector, or None when the grid is not split-generated; a bounded
+memo of those results, keyed by grid form, serves is_split_generated, gcd_of,
+refines_grid and covering.phi.  Fractions appear only where a Decomposition
+is read or built.
 
 Key structural facts used here:
   * any r_i with S refining the single-axis r_i-grid divides L_i, so gcd_of
@@ -32,7 +34,7 @@ Key structural facts used here:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Optional, Set, Tuple
 
 Interval = Tuple[Fraction, Fraction]
@@ -146,18 +148,18 @@ def volume(dec: Decomposition) -> Fraction:
 Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
 
 _MEMO_BOUND = 4096
-_memo: Dict[Grid, bool] = {}  # split-generation verdicts by grid form, oldest evicted first
+_memo: Dict[Grid, Optional[Tuple[int, ...]]] = {}  # gcd vectors by grid form, oldest evicted first
 
 
 def _grid_form(dec: Decomposition) -> Grid:
-    """dec on the grid of lcm_of(dec), which is already reduced."""
+    """dec on the grid of lcm_of(dec)."""
     Ls = lcm_of(dec)
     return Ls, tuple(tuple(e.numerator * (L // e.denominator) for iv, L in zip(reg, Ls) for e in iv)
                      for reg in dec.regions)
 
 
 def _cells(grid: Grid, axis: int, r: int) -> Optional[List[Grid]]:
-    """The r cells of grid along axis, shifted and reduced, in ascending order.
+    """The r cells of grid along axis, shifted onto (0, w), in ascending order.
 
     None unless r divides L_axis, each region lies in one cell and each cell
     holds a region (so r is at most the region count).  Within a cell every
@@ -178,87 +180,65 @@ def _cells(grid: Grid, axis: int, r: int) -> Optional[List[Grid]]:
     if not all(buckets):
         return None
     Ls = Ls[:axis] + (w,) + Ls[axis + 1:]
-    out = []
-    for bucket in buckets:  # divide each axis by the gcd of its L and its endpoints
-        cols = list(zip(*bucket))
-        gs = [gcd(L, *cols[2 * a], *cols[2 * a + 1]) for a, L in enumerate(Ls)]
-        cols = [[x // gs[k // 2] for x in col] for k, col in enumerate(cols)]
-        out.append((tuple(L // g for L, g in zip(Ls, gs)), tuple(zip(*cols))))
-    return out
+    return [(Ls, tuple(bucket)) for bucket in buckets]
 
 
 def _search(grid: Grid):
-    """Coroutine of one grid's search: yields the cells it needs, is sent their verdicts.
+    """Coroutine of one grid's gcd search: yields the cells it needs, is sent their gcds.
 
-    A multi-region grid must admit a first split: an axis and a prime arity
-    p whose p cells are each split-generated (refining the q-slab grid
-    implies refining the p-slab grid for every prime p | q).  Only arities up
-    to the region count can cut a grid, so L is trial-divided only up to that count.
+    Returns the gcd vector, or None unless the grid is split-generated.  One
+    region is generated iff it fills its cell; more are iff some axis has an
+    r >= 2 whose r cells are generated.  The feasible r on an axis are the
+    divisors of the largest, so the scan from the top stops at the gcd's entry.
     """
     Ls, regions = grid
     if len(regions) == 1:
-        return max(Ls) == 1 and regions[0] == (0, 1) * len(Ls)
+        return (1,) * len(Ls) if regions[0] == tuple(e for L in Ls for e in (0, L)) else None
+    out = [1] * len(Ls)
     for axis, L in enumerate(Ls):
-        p = 1
-        while p < len(regions) and L > 1:
-            p += 1
-            if L % p:
-                continue
-            while L % p == 0:  # so each p that divides what is left of L is prime
-                L //= p
-            cells = _cells(grid, axis, p)
+        for r in range(min(len(regions), L), 1, -1):
+            cells = _cells(grid, axis, r)
             if cells is not None:
                 for cell in cells:
-                    if not (yield cell):
+                    if (yield cell) is None:
                         break
                 else:
-                    return True
-    return False
+                    out[axis] = r
+                    break
+    return tuple(out) if max(out) > 1 else None
 
 
-def _generated(grid: Grid) -> bool:
-    """Whether grid is split-generated, by a depth-first search on an explicit stack.
+def _gcd(grid: Grid) -> Optional[Tuple[int, ...]]:
+    """grid's gcd vector, or None unless it is split-generated.
 
-    Deep inputs need no recursion.  Every verdict goes into the memo.
+    A depth-first search on an explicit stack, so deep inputs need no
+    recursion.  Every result goes into the memo.
     """
-    verdict = _memo.get(grid)
-    stack = [] if verdict is not None else [(grid, _search(grid))]
+    result = _memo.get(grid)
+    stack = [] if grid in _memo else [(grid, _search(grid))]
     while stack:
         node, search = stack[-1]
         try:
-            cell = search.send(verdict)
+            cell = search.send(result)
         except StopIteration as stop:
-            verdict = _memo[node] = stop.value
+            result = _memo[node] = stop.value
             if len(_memo) > _MEMO_BOUND:
                 del _memo[next(iter(_memo))]
             stack.pop()
             continue
-        verdict = _memo.get(cell)
-        if verdict is None:
+        result = _memo.get(cell)  # None also for a new cell: a fresh search is sent None
+        if cell not in _memo:
             stack.append((cell, _search(cell)))
-    return verdict
-
-
-def _axis_gcd(grid: Grid, axis: int) -> Tuple[int, List[Grid]]:
-    """The largest r whose r cells along axis are split-generated, and those cells.
-
-    The feasible r are the divisors of the largest, so it is the first one
-    found from the top among the divisors of L_axis up to the region count.
-    """
-    for r in range(min(len(grid[1]), grid[0][axis]), 1, -1):
-        cells = _cells(grid, axis, r)
-        if cells is not None and all(map(_generated, cells)):
-            return r, cells
-    return 1, [grid]
+    return result
 
 
 def is_split_generated(dec: Decomposition) -> bool:
     """Whether dec arises from the trivial decomposition by iterated equal splits.
 
-    Verdicts live in a bounded memo shared by all callers and keyed by the
-    integer grid form (L, sorted integer regions), each axis reduced by its gcd.
+    Reads the gcd search: results live in a bounded memo shared by all
+    callers and keyed by the integer grid form (L, sorted integer regions).
     """
-    return _generated(_grid_form(dec))
+    return _gcd(_grid_form(dec)) is not None
 
 
 def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
@@ -266,7 +246,7 @@ def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
 
     True iff each grid cell contains whole regions only and its restriction,
     rescaled to the unit cube, is split-generated.  Cells are cut axis by axis
-    on the integer grid form; their verdicts use the memo of is_split_generated.
+    on the integer grid form; their verdicts use the memo of the gcd search.
     """
     if len(r) != dec.d:
         raise ValueError(f"grid vector has length {len(r)}, expected {dec.d}")
@@ -278,7 +258,7 @@ def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
         if None in cells:
             return False
         grids = [cell for cs in cells for cell in cs]
-    return all(map(_generated, grids))
+    return all(_gcd(cell) is not None for cell in grids)
 
 
 def lcm_of(dec: Decomposition) -> Tuple[int, ...]:
@@ -302,12 +282,11 @@ def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
 
     Per axis, split-feasible r divide lcm_of(dec) and are closed under lcm,
     so the per-axis maximum over divisors is attained and jointly feasible.
-    Cell verdicts use the memo of is_split_generated.  Raises ValueError
-    unless dec is split-generated (then an entry is >= 2, or dec is trivial).
+    The value is the memoized result of the gcd search behind
+    is_split_generated.  Raises ValueError unless dec is split-generated.
     """
-    grid = _grid_form(dec)
-    out = tuple(_axis_gcd(grid, axis)[0] for axis in range(dec.d))
-    if max(out) < 2 and not _generated(grid):
+    out = _gcd(_grid_form(dec))
+    if out is None:
         raise ValueError("the regions are not a split-generated decomposition")
     return out
 
@@ -366,18 +345,26 @@ def decomposition_to_json_dict(dec: Decomposition) -> dict:
 def decomposition_from_json_dict(data: dict) -> Decomposition:
     """Inverse of decomposition_to_json_dict.
 
-    Raises ValueError on a malformed shape, on a d that is not a JSON integer,
-    and on an interval that does not satisfy 0 <= lo < hi <= 1.  That the boxes
-    tile the cube and are split generated is not checked here.
+    Raises ValueError on a malformed shape or a missing field, on a d that is
+    not a JSON integer, on an endpoint that is neither a JSON string nor a
+    JSON integer, and on an interval that does not satisfy 0 <= lo < hi <= 1.
+    That the boxes tile the cube and are split generated is not checked here.
     """
+    def endpoint(e) -> Fraction:
+        if type(e) not in (str, int):  # a bool is not a number; a float 0.1 is not 1/10
+            raise TypeError(f"endpoint {e!r} is not a string or an integer")
+        return Fraction(e)
+
     try:
         d = data["d"]
         regions = tuple(
-            tuple((Fraction(lo), Fraction(hi)) for lo, hi in region)
+            tuple((endpoint(lo), endpoint(hi)) for lo, hi in region)
             for region in data["regions"]
         )
-    except TypeError as exc:
+    except (TypeError, ZeroDivisionError) as exc:  # a non-sequence, or "1/0"
         raise ValueError(f"malformed decomposition JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"malformed decomposition JSON: missing field {exc}") from None
     if type(d) is not int:
         raise ValueError(f"a decomposition needs an integer d, got {d!r}")
     if d < 1 or not regions:

@@ -132,8 +132,10 @@ def mobius_d_by_convolution(d: int, max_n: int) -> List[int]:
     delta = [0] * (max_n + 1)
     if max_n >= 1:
         delta[1] = 1
-    result = delta
-    mu1 = [0] + [mobius(n) for n in range(1, max_n + 1)]
+    result, mu1 = delta, delta[:]
+    for k in range(1, max_n + 1):  # mu by sum_{k | n} mu(k) = [n = 1]: nothing is factored
+        for m in range(2 * k, max_n + 1, k):
+            mu1[m] -= mu1[k]
     for _ in range(d):
         result = dirichlet_convolve(result, mu1)
     return result

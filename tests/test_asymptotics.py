@@ -68,6 +68,11 @@ def test_domain_guards():
                  lambda: find_saddle(0), lambda: asymptotic_estimate(0, 10)):
         with pytest.raises(ValueError, match="d must be >= 1"):
             call()
+    for call in (lambda: find_saddle(1.5), lambda: eval_M(2.5, 0.1),
+                 lambda: check_growth_bounds(2.0), lambda: saddle_bracket(2.5),
+                 lambda: find_saddle(True)):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 0.7])

@@ -213,9 +213,26 @@ def test_phi_reads_stdin(capsys, monkeypatch):
     ("phi", {"d": 1.5, "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
     ("phi", {"d": True, "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
     ("phi", {"d": "1", "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
+    ("phi", {"d": 1, "regions": [[[False, True]]]}),
+    ("phi", {"d": 1, "regions": [[[0, 0.5]], [[0.5, True]]]}),
+    ("phi", {"d": 1, "regions": [[[0, 0.5]], [[0.5, 1]]]}),
+    ("phi", {"d": 1, "regions": [[["0", "1/0"]]]}),
 ])
 def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload):
     one_line_error(capsys, [command, "--in", "-"], json.dumps(payload), monkeypatch)
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("phi", {"regions": [[["0", "1"]]]}, "d"),
+    ("phi", {"d": 1}, "regions"),
+    ("psi", {"tree": "L"}, "d"),
+    ("psi", {"d": 1}, "tree"),
+])
+def test_missing_json_field_is_named(capsys, monkeypatch, command, payload, field):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main([command, "--in", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cubedecomp: error: ") and err.endswith(f"missing field '{field}'\n")
 
 
 @pytest.mark.parametrize("d, tree", [

@@ -1,5 +1,6 @@
 """Exact region geometry, split generation, grid gcd/lcm, and enumeration."""
 
+import random
 import sys
 import time
 from contextlib import contextmanager
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubedecomp import geometry
 from cubedecomp.geometry import (
     Decomposition,
     decomposition_from_json_dict,
@@ -243,9 +245,18 @@ def test_json_round_trip():
         {"d": 1, "regions": [[["1/2", "1/2"]], [["1/2", "1"]]]},
         {"d": 1, "regions": [[["-1/2", "1/2"]], [["1/2", "1"]]]},
         {"d": 1, "regions": [[["0", "1/2"]], [["1/2", "3/2"]]]},
+        {"d": 1, "regions": [[[False, True]]]},
+        {"d": 1, "regions": [[[0, 0.5]], [[0.5, True]]]},
+        {"d": 1, "regions": [[[0, 0.1]], [[0.1, 1]]]},
+        {"d": 1, "regions": [[["0", "1/0"]]]},
+        {"regions": [[["0", "1"]]]},
+        {"d": 1},
     ):
         with pytest.raises(ValueError):
             decomposition_from_json_dict(bad)
+    # a JSON integer endpoint is exact, like a string
+    assert decomposition_from_json_dict({"d": 1, "regions": [[[0, "1/2"]], [["1/2", 1]]]}) == (
+        interval_dec(F(1, 2)))
 
 
 @contextmanager
@@ -321,3 +332,44 @@ def test_gcd_of_is_the_largest_refined_grid(d, max_n):
     for dec in all_decompositions(d, max_n):
         refined = [r for r in product(*map(divisors, lcm_of(dec))) if refines_grid(dec, r)]
         assert tuple(map(max, zip(*refined))) == gcd_of(dec), dec
+
+
+def test_cells_keep_the_parent_scale_and_hold_whole_regions():
+    # grid form (L, regions) of {(0,1/3), (1/3,1/2), (1/2,1)}: L = 6
+    grid = ((6,), ((0, 2), (2, 3), (3, 6)))
+    assert geometry._cells(grid, 0, 2) == [((3,), ((0, 2), (2, 3))), ((3,), ((0, 3),))]
+    assert geometry._cells(grid, 0, 3) is None  # (3, 6) straddles the cell boundary at 4
+    assert geometry._cells(((6,), ((0, 4), (4, 6))), 0, 2) is None  # (0, 4) straddles 3
+    assert geometry._cells(((6,), ((0, 1), (1, 2), (2, 3))), 0, 2) is None  # an empty cell
+    assert geometry._cells(grid, 0, 4) is None  # 4 does not divide 6, and exceeds 3 regions
+
+
+def random_partition(rng, parts):
+    """A random partition of (0, 1) into at most `parts` intervals over one denominator."""
+    q = rng.choice((4, 6, 8, 9, 12, 16, 18, 24, 30))
+    pts = [0] + sorted(rng.sample(range(1, q), min(parts, q) - 1)) + [q]
+    return [(F(a, q), F(b, q)) for a, b in zip(pts, pts[1:])]
+
+
+def test_random_tilings_are_split_generated_exactly_when_enumerated():
+    # most of these tilings are not split-generated, so they reach the rejecting
+    # branches of the kernel that the enumerated inputs never do
+    rng = random.Random(20221)
+    levels = {1: enumerate_decompositions_up_to(1, 7), 2: enumerate_decompositions_up_to(2, 5)}
+    decs = [Decomposition(1, tuple((iv,) for iv in random_partition(rng, rng.randint(1, 7))))
+            for _ in range(2500)]
+    for _ in range(1500):
+        xs = random_partition(rng, rng.randint(1, 5))
+        ys = random_partition(rng, rng.randint(1, 5 // len(xs)))
+        decs.append(Decomposition(2, tuple(product(xs, ys))))
+    rejected = 0
+    for dec in decs:
+        generated = dec in levels[dec.d][len(dec)]
+        assert is_split_generated(dec) == generated, dec
+        if generated:
+            gcd_of(dec)
+        else:
+            rejected += 1
+            with pytest.raises(ValueError, match="not a split-generated decomposition"):
+                gcd_of(dec)
+    assert rejected > len(decs) // 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubedecomp import number_theory
 from cubedecomp.number_theory import (
     dirichlet_convolve,
     divisors,
@@ -73,6 +74,16 @@ def test_mobius_values_agree_with_pointwise(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_convolution_route_matches_multiplicative_route(d):
     assert mobius_d_by_convolution(d, 300) == mobius_d_values(d, 300)
+
+
+def test_convolution_route_factors_nothing(monkeypatch):
+    # the oracle checks the closed form over factorize, so it must not use it
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(number_theory, "factorize", refuse)
+    for d in range(4):
+        assert mobius_d_by_convolution(d, 200) == mobius_d_values(d, 200)
 
 
 def test_mobius_d_of_one_and_squarefull_cutoff():
