@@ -62,8 +62,10 @@ def _check_d(d: int) -> None:
         raise ValueError(f"d must be >= 1, got {d}")
 
 
-def _check_args(d: int, x: float, k: int, upper: float) -> None:
-    _check_d(d)
+def _check_args(d: int, x: float, k: int, per_d: int = 0) -> None:
+    """x must lie in [0, 1 / (per_d d)] for d >= 2 when per_d is given, else in [0, 1)."""
+    _check_d(d)  # before the bound on x, which needs an integer d
+    upper = 1 / (per_d * d) if per_d and d >= 2 else math.nextafter(1.0, 0.0)
     if d >= 2 and k < 3:
         raise ValueError(f"tail bounds need k >= 3 for d >= 2, got k={k}")
     if not 1 <= k <= MAX_K:
@@ -74,7 +76,7 @@ def _check_args(d: int, x: float, k: int, upper: float) -> None:
 
 def eval_M(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     """(partial sum of M_d at x through n < 2^k, certified tail magnitude)."""
-    _check_args(d, x, k, 1 / d if d >= 2 else math.nextafter(1.0, 0.0))
+    _check_args(d, x, k, 1)
     value = _partial_sum(d, x, k, 0)
     big_n = 2 ** k
     if d == 1:
@@ -86,7 +88,7 @@ def eval_M(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
 
 def eval_M_prime(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     """(partial sum of M_d' at x through n < 2^k, certified tail magnitude)."""
-    _check_args(d, x, k, 1 / (2 * d) if d >= 2 else math.nextafter(1.0, 0.0))
+    _check_args(d, x, k, 2)
     value = _partial_sum(d, x, k, 1)
     big_n = 2 ** k
     if d == 1:
@@ -98,7 +100,7 @@ def eval_M_prime(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
 
 def eval_M_second(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     """(partial sum of M_d'' at x through n < 2^k, certified tail magnitude)."""
-    _check_args(d, x, k, math.nextafter(1.0, 0.0))
+    _check_args(d, x, k)
     big_n = 2 ** k
     if d >= 2 and 4 * d * x ** big_n >= 1:
         raise ValueError(f"second-derivative tail bound needs 4*d*x^(2^k) < 1 at x={x}")

@@ -134,16 +134,20 @@ def _emit(fmt: str, text: object, command: str, params: dict, provenance: str,
 def _print_values(command: str, params: dict, provenance: str, fmt: str,
                   pairs: Iterable[Tuple[int, int]]) -> None:
     """Emit an indexed integer table: JSON record per entry, or one CSV line."""
-    pairs = list(pairs)
     if fmt == "csv":
         print(",".join(str(v) for _, v in pairs))
         return
     # Only n and value change from row to row: serialise the rest once.  The
     # result sorts between provenance and schema, so the tail holds no row data.
     head, _, tail = _record(command, params, provenance, {"n": 0}).rpartition('{"n":0}')
-    write = sys.stdout.write
-    for n, v in pairs:
-        write(f'{head}{{"n":{n},"value":"{v}"}}{tail}\n')
+    write, batch, size = sys.stdout.write, [], 0
+    for n, v in pairs:  # read lazily; the rows go out about 32 KiB at a time
+        batch.append(f'{head}{{"n":{n},"value":"{v}"}}{tail}\n')
+        size += len(batch[-1])
+        if size >= 1 << 15:
+            write("".join(batch))
+            batch, size = [], 0
+    write("".join(batch))
 
 
 def _decomposition_text(dec: Decomposition) -> str:

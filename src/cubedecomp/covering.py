@@ -125,14 +125,14 @@ def phi(dec: "geometry.Decomposition") -> Necs:
     """
     if dec.d != 1:
         raise ValueError(f"phi is defined on 1-dimensional decompositions, got d={dec.d}")
-    if len(dec.regions) == 1 and dec.regions[0] != geometry.unit_region(1):
+    if len(dec.grid) == 1 and (dec.Ls, dec.grid) != ((1,), ((0, 1),)):
         raise ValueError("a one-region decomposition must be the unit interval (0, 1)")
-    classes: List[ResidueClass] = []
-    stack = [(geometry._grid_form(dec), 0, 1)]
+    classes: List[Tuple[int, int]] = []  # (n, a), which sorts in Necs order
+    stack = [((dec.Ls, dec.grid), 0, 1)]
     while stack:
         grid, a, m = stack.pop()
         if len(grid[1]) == 1:
-            classes.append(ResidueClass(a, m))
+            classes.append((m, a))
             continue
         gcd = geometry._gcd(grid)
         if gcd is None:
@@ -140,7 +140,9 @@ def phi(dec: "geometry.Decomposition") -> Necs:
         (r,) = gcd
         blocks = geometry._cells(grid, 0, r)
         stack.extend((block, a + m * j, m * r) for j, block in enumerate(blocks))
-    return Necs(tuple(classes))
+    system = object.__new__(Necs)  # the classes are in Necs order: no second sort
+    object.__setattr__(system, "classes", tuple(ResidueClass(a, n) for n, a in sorted(classes)))
+    return system
 
 
 def necs_to_json_dict(system: Necs) -> dict:
@@ -148,4 +150,19 @@ def necs_to_json_dict(system: Necs) -> dict:
 
 
 def necs_from_json_dict(data: dict) -> Necs:
-    return Necs(tuple(make_class(int(c["a"]), int(c["n"])) for c in data["classes"]))
+    """Inverse of necs_to_json_dict; raises ValueError on a malformed shape, a
+    missing field, an a or n that is not a JSON integer, and on classes that do
+    not partition the integers."""
+    try:
+        pairs = [(c["a"], c["n"]) for c in data["classes"]]
+    except TypeError as exc:
+        raise ValueError(f"malformed covering system JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"malformed covering system JSON: missing field {exc}") from None
+    bad = [x for pair in pairs for x in pair if type(x) is not int]  # a bool, or 2.9
+    if bad:
+        raise ValueError(f"a covering system needs integer a and n, got {bad[0]!r}")
+    classes = tuple(make_class(a, n) for a, n in pairs)
+    if not is_exact_cover(classes):
+        raise ValueError("the classes are not an exact covering system")
+    return Necs(classes)

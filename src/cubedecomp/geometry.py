@@ -1,9 +1,9 @@
 """Exact geometry of axis-split decompositions of the open unit d-cube.
 
 A region is a d-tuple of open intervals ((lo, hi), ...) with Fraction
-endpoints; a decomposition is a canonically sorted tuple of regions obtained
-from the trivial decomposition {(0,1)^d} by repeatedly replacing one region
-with p >= 2 equal slabs along one axis.  All arithmetic is exact.
+endpoints; a decomposition is a set of regions obtained from the trivial
+decomposition {(0,1)^d} by repeatedly replacing one region with p >= 2 equal
+slabs along one axis.  All arithmetic is exact.
 
 Refinement is the split order: S refines S' when S is obtainable from S' by
 further splits.  S refines the grid D_r iff every region lies inside a single
@@ -12,17 +12,17 @@ itself split-generated (containment alone is not enough: {(0,1/6), (1/6,1/4),
 (1/4,1/3), (1/3,1/2), (1/2,3/4), (3/4,1)} fits the quarter grid cellwise but
 its first cell rescales to the non-split {(0,2/3), (2/3,1)}).
 
-Split generation, refines_grid and gcd_of run on an integer grid form.  Every
-endpoint on axis i lies on the grid (1/L_i)Z, L = lcm_of(S), so S becomes
-(L, regions), a region being the flat tuple (lo_1, hi_1, ..., lo_d, hi_d) of
-integers in 0..L_i.  With w = L_i / r, a region fits in the r-cell lo // w iff
-hi <= (lo // w + 1) w; restricting to that cell shifts it by a multiple of w
-and sets L_i = w.  A cell keeps its parent's scale, so the same cell reached
-by two routes has the same form (L/r/s = L/(rs)).  One search computes a
-grid's gcd vector, or None when the grid is not split-generated; a bounded
-memo of those results, keyed by grid form, serves is_split_generated, gcd_of,
-refines_grid and covering.phi.  Fractions appear only where a Decomposition
-is read or built.
+A Decomposition is its integer grid form.  Every endpoint on axis i lies on
+the grid (1/L_i)Z, L = lcm_of(S), so S is (L, regions), a region being the
+flat tuple (lo_1, hi_1, ..., lo_d, hi_d) of integers in 0..L_i, in sorted
+order (on one axis the integer order is the Fraction order).  Constructors
+build this form; Fractions are made only when regions is read.  With w =
+L_i / r, a region fits in the r-cell lo // w iff hi <= (lo // w + 1) w;
+restricting to that cell shifts it by a multiple of w and sets L_i = w.  A
+cell keeps its parent's scale, so the same cell reached by two routes has the
+same form (L/r/s = L/(rs)).  One search computes a grid's gcd vector, or None
+when the grid is not split-generated; a bounded memo of those results, keyed
+by grid form, serves is_split_generated, gcd_of, refines_grid and covering.phi.
 
 Key structural facts used here:
   * any r_i with S refining the single-axis r_i-grid divides L_i, so gcd_of
@@ -32,43 +32,97 @@ Key structural facts used here:
     gcd grid's entry.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import product
+from math import gcd, lcm, prod
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-Interval = Tuple[Fraction, Fraction]
-Region = Tuple[Interval, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Region = Tuple[Tuple[Fraction, Fraction], ...]
+Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    """A finite set of disjoint open boxes tiling (0,1)^d, in canonical sorted order."""
+    """Disjoint open boxes tiling (0,1)^d as (d, Ls, grid): Ls = lcm_of(self), grid
+    the sorted integer regions (see the module doc).  regions, the same boxes
+    with Fraction endpoints, is built on first read.  Frozen: the form is the hash."""
 
-    d: int
-    regions: Tuple[Region, ...]
+    __slots__ = ("d", "Ls", "grid", "_regions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(sorted(self.regions)))
+    def __new__(cls, d: int, regions: Iterable[Region]):
+        pairs = [[tuple((e.numerator, e.denominator) for e in iv) for iv in reg] for reg in regions]
+        return _decomposition(d, *_form(d, pairs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return _decomposition, (self.d, self.Ls, self.grid)
+
+    @property
+    def regions(self) -> Tuple[Region, ...]:
+        if self._regions is None:  # one Fraction per distinct endpoint of an axis
+            cols = list(zip(*self.grid))  # lo_1, hi_1, ..., lo_d, hi_d
+            axes = []
+            for lo, hi, L in zip(cols[::2], cols[1::2], self.Ls):
+                f = {e: Fraction(e, L) for e in {*lo, *hi}}
+                axes.append(zip(map(f.__getitem__, lo), map(f.__getitem__, hi)))
+            object.__setattr__(self, "_regions", tuple(zip(*axes)))
+        return self._regions
+
+    def __eq__(self, other):  # the form is canonical
+        return type(other) is Decomposition and (self.d, self.Ls, self.grid) == (
+            other.d, other.Ls, other.grid)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.Ls, self.grid))
 
     def __len__(self) -> int:
-        return len(self.regions)
+        return len(self.grid)
 
     def __iter__(self):
         return iter(self.regions)
 
+    def __repr__(self) -> str:
+        return f"Decomposition(d={self.d!r}, regions={self.regions!r})"
+
+
+def _decomposition(d: int, Ls: Tuple[int, ...], grid: tuple) -> Decomposition:
+    """The Decomposition of the canonical form (d, Ls, grid), which is not checked."""
+    dec = object.__new__(Decomposition)
+    for name, value in zip(Decomposition.__slots__, (d, Ls, grid, None)):
+        object.__setattr__(dec, name, value)
+    return dec
+
+
+def _form(d: int, regions: List[List[Tuple[Tuple[int, int], Tuple[int, int]]]]) -> Grid:
+    """The canonical form (Ls, grid) of regions with (num, den) endpoints, den > 0:
+    each axis goes onto the lcm of its dens, divided by its gcd with the endpoints."""
+    Ls, columns = [], []  # L_1, ..., L_d and the grid's columns lo_1, hi_1, ..., lo_d, hi_d
+    for i in range(d):
+        ends = [[region[i][0] for region in regions], [region[i][1] for region in regions]]
+        L = lcm(*[den for side in ends for _, den in side])
+        lo, hi = [[num * (L // den) for num, den in side] for side in ends]
+        g = gcd(L, *lo, *hi)
+        Ls.append(L // g)
+        columns += ([e // g for e in lo], [e // g for e in hi]) if g > 1 else (lo, hi)
+    return tuple(Ls), tuple(sorted(zip(*columns)))
+
 
 def unit_region(d: int) -> Region:
-    return ((ZERO, ONE),) * d
+    return ((Fraction(0), Fraction(1)),) * d
 
 
 def trivial_decomposition(d: int) -> Decomposition:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return Decomposition(d, (unit_region(d),))
+    return _decomposition(d, (1,) * d, ((0, 1) * d,))
+
+
+def _check_split(axis: int, arity: int, d: int) -> None:
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
+    if not 0 <= axis < d:
+        raise ValueError(f"axis {axis} out of range for dimension {d}")
 
 
 def split(region: Region, axis: int, arity: int) -> Tuple[Region, ...]:
@@ -77,10 +131,7 @@ def split(region: Region, axis: int, arity: int) -> Tuple[Region, ...]:
     Cut points are lo + j*(hi-lo)/arity for j = 1..arity-1; slabs come back in
     ascending order along the axis.
     """
-    if arity < 2:
-        raise ValueError(f"arity must be >= 2, got {arity}")
-    if not 0 <= axis < len(region):
-        raise ValueError(f"axis {axis} out of range for dimension {len(region)}")
+    _check_split(axis, arity, len(region))
     lo, hi = region[axis]
     step = (hi - lo) / arity
     parts = []
@@ -94,19 +145,35 @@ def split_decomposition(dec: Decomposition, region: Region, axis: int, arity: in
     """Replace one region of dec by its arity-fold split along axis."""
     if region not in dec.regions:
         raise ValueError("region is not part of the decomposition")
-    rest = tuple(r for r in dec.regions if r != region)
-    return Decomposition(dec.d, rest + split(region, axis, arity))
+    _check_split(axis, arity, dec.d)
+    i = dec.regions.index(region)
+    rest = dec.grid[:i] + dec.grid[i + 1:]
+    return _decomposition(dec.d, *_split_form(dec.Ls, rest, dec.grid[i], axis, arity))
+
+
+def _split_form(Ls: Tuple[int, ...], rest: Tuple[Tuple[int, ...], ...], reg: Tuple[int, ...],
+                axis: int, arity: int) -> Grid:
+    """The form of rest and the arity slabs of reg along axis, (Ls, rest + (reg,)) being
+    canonical.  Scaling the axis by s = arity / gcd(arity, hi - lo) makes the cuts
+    integers, and its gcd stays 1: the old endpoints share s with s L_i, and the
+    first cut is prime to s."""
+    i = 2 * axis
+    lo, hi = reg[i], reg[i + 1]
+    g = gcd(arity, hi - lo)
+    s, w = arity // g, (hi - lo) // g
+    if s > 1:
+        rest = [x[:i] + (x[i] * s, x[i + 1] * s) + x[i + 2:] for x in rest]
+        Ls = Ls[:axis] + (Ls[axis] * s,) + Ls[axis + 1:]
+    slabs = [reg[:i] + (lo * s + j * w, lo * s + j * w + w) + reg[i + 2:] for j in range(arity)]
+    return Ls, tuple(sorted([*rest, *slabs]))
 
 
 def grid_decomposition(r: Tuple[int, ...]) -> Decomposition:
     """The grid decomposition D_r with r_i equal slabs along axis i."""
     if any(ri < 1 for ri in r):
         raise ValueError(f"grid arities must be >= 1, got {r}")
-    axes = [[(Fraction(j, ri), Fraction(j + 1, ri)) for j in range(ri)] for ri in r]
-    regions: List[Region] = [()]
-    for ivs in axes:
-        regions = [reg + (iv,) for reg in regions for iv in ivs]
-    return Decomposition(len(r), tuple(regions))
+    cells = product(*[[(j, j + 1) for j in range(ri)] for ri in r])
+    return _decomposition(len(r), tuple(r), tuple(sum(cell, ()) for cell in cells))
 
 
 def region_contains(outer: Region, inner: Region) -> bool:
@@ -134,28 +201,15 @@ def scale_map(src: Region, dst: Region, region: Region) -> Region:
 
 
 def volume(dec: Decomposition) -> Fraction:
-    total = ZERO
-    for reg in dec.regions:
-        v = ONE
-        for lo, hi in reg:
-            v *= hi - lo
-        total += v
-    return total
+    return Fraction(sum(prod(hi - lo for lo, hi in zip(reg[::2], reg[1::2])) for reg in dec.grid),
+                    prod(dec.Ls))
 
 
 # ------------------------------------------------------------ integer-grid kernel
 
-Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
-
 _MEMO_BOUND = 4096
 _memo: Dict[Grid, Optional[Tuple[int, ...]]] = {}  # gcd vectors by grid form, oldest evicted first
-
-
-def _grid_form(dec: Decomposition) -> Grid:
-    """dec on the grid of lcm_of(dec)."""
-    Ls = lcm_of(dec)
-    return Ls, tuple(tuple(e.numerator * (L // e.denominator) for iv, L in zip(reg, Ls) for e in iv)
-                     for reg in dec.regions)
+_NEW = object()  # what the memo gives for a grid it does not hold
 
 
 def _cells(grid: Grid, axis: int, r: int) -> Optional[List[Grid]]:
@@ -214,8 +268,8 @@ def _gcd(grid: Grid) -> Optional[Tuple[int, ...]]:
     A depth-first search on an explicit stack, so deep inputs need no
     recursion.  Every result goes into the memo.
     """
-    result = _memo.get(grid)
-    stack = [] if grid in _memo else [(grid, _search(grid))]
+    result = _memo.get(grid, _NEW)
+    stack, result = ([(grid, _search(grid))], None) if result is _NEW else ([], result)
     while stack:
         node, search = stack[-1]
         try:
@@ -226,8 +280,9 @@ def _gcd(grid: Grid) -> Optional[Tuple[int, ...]]:
                 del _memo[next(iter(_memo))]
             stack.pop()
             continue
-        result = _memo.get(cell)  # None also for a new cell: a fresh search is sent None
-        if cell not in _memo:
+        result = _memo.get(cell, _NEW)
+        if result is _NEW:  # a fresh search is sent None
+            result = None
             stack.append((cell, _search(cell)))
     return result
 
@@ -238,7 +293,7 @@ def is_split_generated(dec: Decomposition) -> bool:
     Reads the gcd search: results live in a bounded memo shared by all
     callers and keyed by the integer grid form (L, sorted integer regions).
     """
-    return _gcd(_grid_form(dec)) is not None
+    return _gcd((dec.Ls, dec.grid)) is not None
 
 
 def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
@@ -252,7 +307,7 @@ def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
         raise ValueError(f"grid vector has length {len(r)}, expected {dec.d}")
     if any(ri < 1 for ri in r):
         raise ValueError(f"grid arities must be >= 1, got {r}")
-    grids = [_grid_form(dec)]
+    grids = [(dec.Ls, dec.grid)]
     for axis, ri in enumerate(r):
         cells = [_cells(g, axis, ri) for g in grids]
         if None in cells:
@@ -267,14 +322,7 @@ def lcm_of(dec: Decomposition) -> Tuple[int, ...]:
     A grid refines dec iff every endpoint lies on it (the cells inside each
     region then form a product grid, which is always split-generated).
     """
-    out = []
-    for axis in range(dec.d):
-        m = 1
-        for reg in dec.regions:
-            lo, hi = reg[axis]
-            m = lcm(m, lo.denominator, hi.denominator)
-        out.append(m)
-    return tuple(out)
+    return dec.Ls
 
 
 def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
@@ -285,7 +333,7 @@ def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
     The value is the memoized result of the gcd search behind
     is_split_generated.  Raises ValueError unless dec is split-generated.
     """
-    out = _gcd(_grid_form(dec))
+    out = _gcd((dec.Ls, dec.grid))
     if out is None:
         raise ValueError("the regions are not a split-generated decomposition")
     return out
@@ -310,21 +358,21 @@ def enumerate_decompositions_up_to(d: int, max_n: int) -> Dict[int, Set[Decompos
     """All decompositions with at most max_n regions, keyed by region count.
 
     Brute-force oracle: breadth-first closure of the trivial decomposition
-    under single-region splits, deduplicated by canonical form.  A split of
-    arity p adds p-1 regions, so from a level-m decomposition arity is capped
-    at max_n - m + 1.
+    under single-region splits of the canonical form (L, grid), which also
+    deduplicates; the gcd search is never asked.  A split of arity p adds p-1
+    regions, so from a level-m decomposition arity is capped at max_n - m + 1.
     """
-    levels: Dict[int, Set[Decomposition]] = {m: set() for m in range(1, max_n + 1)}
-    levels[1].add(trivial_decomposition(d))
+    start = trivial_decomposition(d)
+    levels: Dict[int, Set[Grid]] = {m: set() for m in range(1, max_n + 1)}
+    levels[1].add((start.Ls, start.grid))
     for m in range(1, max_n):
-        for dec in levels[m]:
-            for idx, reg in enumerate(dec.regions):
-                rest = dec.regions[:idx] + dec.regions[idx + 1:]
+        for Ls, grid in levels[m]:
+            for idx, reg in enumerate(grid):
+                rest = grid[:idx] + grid[idx + 1:]
                 for axis in range(d):
                     for arity in range(2, max_n - m + 2):
-                        new = Decomposition(d, rest + split(reg, axis, arity))
-                        levels[m + arity - 1].add(new)
-    return levels
+                        levels[m + arity - 1].add(_split_form(Ls, rest, reg, axis, arity))
+    return {m: {_decomposition(d, *form) for form in forms} for m, forms in levels.items()}
 
 
 def enumerate_decompositions(d: int, n: int) -> Set[Decomposition]:
@@ -350,17 +398,20 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
     JSON integer, and on an interval that does not satisfy 0 <= lo < hi <= 1.
     That the boxes tile the cube and are split generated is not checked here.
     """
-    def endpoint(e) -> Fraction:
-        if type(e) not in (str, int):  # a bool is not a number; a float 0.1 is not 1/10
+    def endpoint(e) -> Tuple[int, int]:  # (num, den), den > 0
+        if type(e) is int:
+            return e, 1
+        if type(e) is not str:  # a bool is not a number; a float 0.1 is not 1/10
             raise TypeError(f"endpoint {e!r} is not a string or an integer")
-        return Fraction(e)
+        num, slash, den = e.partition("/")
+        if e.isascii() and num.isdigit() and (den.isdigit() and den.strip("0") or not slash):
+            return int(num), int(den or 1)
+        f = Fraction(e)  # "0.25", "+1/2", " 1/2", "1/0" and bad text, as Fraction reads them
+        return f.numerator, f.denominator
 
     try:
         d = data["d"]
-        regions = tuple(
-            tuple((endpoint(lo), endpoint(hi)) for lo, hi in region)
-            for region in data["regions"]
-        )
+        regions = [[(endpoint(lo), endpoint(hi)) for lo, hi in reg] for reg in data["regions"]]
     except (TypeError, ZeroDivisionError) as exc:  # a non-sequence, or "1/0"
         raise ValueError(f"malformed decomposition JSON: {exc}") from None
     except KeyError as exc:
@@ -371,8 +422,10 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
         raise ValueError("a decomposition needs d >= 1 and at least one region")
     for region in regions:
         if len(region) != d:
+            region = tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in region)
             raise ValueError(f"region {region} does not have {d} intervals")
-        for lo, hi in region:
-            if not ZERO <= lo < hi <= ONE:
-                raise ValueError(f"interval ({lo}, {hi}) does not satisfy 0 <= lo < hi <= 1")
-    return Decomposition(d, regions)
+        for (a, b), (c, e) in region:  # a/b and c/e, b and e positive
+            if not (0 <= a and a * e < c * b and c <= e):
+                raise ValueError(f"interval ({Fraction(a, b)}, {Fraction(c, e)}) "
+                                 "does not satisfy 0 <= lo < hi <= 1")
+    return _decomposition(d, *_form(d, regions))

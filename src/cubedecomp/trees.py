@@ -16,11 +16,10 @@ Schroeder number (1, 1, 3, 11, 45, 197, ...).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, List, Set, Tuple, Union
 
-from .geometry import Decomposition
+from .geometry import Decomposition, _decomposition, _form
 from .series import TruncatedSeries
 
 PlaneTree = Tuple  # () for a leaf, (label, *children) otherwise
@@ -124,24 +123,23 @@ def psi(tree: PlaneTree, d: int) -> Decomposition:
 
     The root's r children land in the r slabs of the axis split in ascending
     order of the split coordinate.  An explicit stack holds (node, box), a box
-    being (num_lo, num_hi, den) per axis; Fractions are made only at the leaves.
+    being (k, den) per axis for the slab (k/den, (k+1)/den), so no Fraction is
+    made.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     validate_tree(tree, d)
-    regions = []
-    stack = [(tree, ((0, 1, 1),) * d)]
+    leaves = []
+    stack = [(tree, ((0, 1),) * d)]
     while stack:
         node, box = stack.pop()
-        if is_leaf(node):
-            regions.append(tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in box))
+        if not node:  # a leaf
+            leaves.append([((k, den), (k + 1, den)) for k, den in box])
             continue
         axis, r = node[0] - 1, len(node) - 1
-        lo, hi, den = box[axis]
-        for j, child in enumerate(node[1:]):
-            slab = (lo * r + j * (hi - lo), lo * r + (j + 1) * (hi - lo), den * r)
-            stack.append((child, box[:axis] + (slab,) + box[axis + 1:]))
-    return Decomposition(d, tuple(regions))
+        (k, den), head, tail = box[axis], box[:axis], box[axis + 1:]
+        stack += [(c, head + ((k * r + j, den * r),) + tail) for j, c in enumerate(node[1:])]
+    return _decomposition(d, *_form(d, leaves))
 
 
 def format_tree(tree: PlaneTree) -> str:

@@ -70,7 +70,8 @@ def test_domain_guards():
             call()
     for call in (lambda: find_saddle(1.5), lambda: eval_M(2.5, 0.1),
                  lambda: check_growth_bounds(2.0), lambda: saddle_bracket(2.5),
-                 lambda: find_saddle(True)):
+                 lambda: find_saddle(True), lambda: eval_M("2", 0.1),
+                 lambda: eval_M_prime("2", 0.1)):
         with pytest.raises(ValueError, match="d must be an integer"):
             call()
 

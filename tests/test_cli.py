@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -419,3 +420,44 @@ def test_table_command_bytes_match_references(capsys, command):
     assert code == 0
     assert (len(out), hashlib.sha256(out).hexdigest()) == (ref["stdout_bytes"],
                                                            ref["stdout_sha256"])
+
+
+# Full stdout digests of commands whose output the enumeration oracles and the
+# structural maps produce; they do not change when the representation does.
+ORACLE_COMMAND_SHA256 = {
+    "enum decomp --d 2 --n 5":
+        "78f95c125545737ac1c3d51427f061d16058952150458cd7c136789cbbaaafcd",
+    "enum decomp --d 2 --n 5 --format csv":
+        "7cfdce9b0e74b9265670592550357b4888f2c52758b4cc044ea48fd25c9d5754",
+    "enum decomp --d 1 --n 7":
+        "7a5a167ce833bc5caf012facff9fdf166a55f9c16aec645f63551e4709e36ac9",
+    "enum decomp --d 3 --n 4 --format csv":
+        "03e60e67108b695b57efb0d7b420023404024a3fc7c611b44c119e0625217ff4",
+    "verify --suite all":
+        "d59c0213b0700060dc2646015715c6c6b7652ddda3e32ae493b81badfd06e05d",
+    "verify --suite all --format csv":
+        "dcac900f313a2a641deec4990602ac8da3d8a15f4062f7a1be10b3c87291c46b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_COMMAND_SHA256))
+def test_oracle_command_bytes_are_pinned(capsys, command):
+    assert cli.main(shlex.split(command)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == ORACLE_COMMAND_SHA256[command]
+
+
+README_EXAMPLES = re.findall(
+    r"\$ echo '(.+)'(?: \\\n)?\s*\| cubedecomp (\w+) --in - --format csv\n\s*(.+)\n",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"))
+
+
+def test_readme_shows_the_phi_and_psi_examples():
+    assert [command for _, command, _ in README_EXAMPLES] == ["phi", "psi"]
+
+
+@pytest.mark.parametrize("payload, command, expected", README_EXAMPLES)
+def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, payload, command,
+                                                     expected):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert run(capsys, command, "--in", "-", "--format", "csv") == (0, expected + "\n")

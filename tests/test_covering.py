@@ -147,3 +147,28 @@ def test_json_round_trip():
         ]
     }
     assert necs_from_json_dict(data) == system
+
+
+@pytest.mark.parametrize("data", [
+    {"classes": [{"a": True, "n": 2.9}, {"a": 0, "n": 2}]},  # read as {1 mod 2, 0 mod 2} before
+    {"classes": [{"a": 0, "n": 2}, {"a": "1", "n": 2}]},
+    {"classes": [{"a": 0, "n": 2}, {"a": 0, "n": 2}]},  # not a cover
+    {"classes": [{"a": 0, "n": 2}, {"a": 1, "n": 4}]},  # disjoint, density 3/4
+    {"classes": []},
+    {"classes": [{"a": 0, "n": 0}]},
+    {"classes": 5},
+    [{"a": 0, "n": 1}],
+])
+def test_necs_from_json_rejects_what_is_not_an_integer_cover(data):
+    with pytest.raises(ValueError):
+        necs_from_json_dict(data)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"classes": [{"n": 1}]}, "a"),
+    ({"classes": [{"a": 0}]}, "n"),
+    ({}, "classes"),
+])
+def test_necs_from_json_names_a_missing_field(data, field):
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        necs_from_json_dict(data)

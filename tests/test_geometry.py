@@ -1,5 +1,6 @@
 """Exact region geometry, split generation, grid gcd/lcm, and enumeration."""
 
+import pickle
 import random
 import sys
 import time
@@ -37,6 +38,7 @@ from cubedecomp.geometry import (
 from cubedecomp.covering import necs_gcd, necs_lcm, phi
 from cubedecomp.number_theory import divisors
 from cubedecomp.series import decomposition_counts
+from cubedecomp.trees import LEAF, psi
 
 
 def box(*ivs):
@@ -373,3 +375,89 @@ def test_random_tilings_are_split_generated_exactly_when_enumerated():
             with pytest.raises(ValueError, match="not a split-generated decomposition"):
                 gcd_of(dec)
     assert rejected > len(decs) // 2
+
+
+def random_tree(rng, d, leaves):
+    """A random labelled plane tree with exactly `leaves` leaves and arities up to 4."""
+    if leaves == 1:
+        return LEAF
+    r = rng.randint(2, min(4, leaves))
+    cuts = sorted(rng.sample(range(1, leaves), r - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [leaves])]
+    return (rng.randint(1, d), *(random_tree(rng, d, k) for k in sizes))
+
+
+def replay(tree, d):
+    """The tree's decomposition by split_decomposition, and its leaves' boxes by split."""
+    dec, boxes = trivial_decomposition(d), []
+    stack = [(tree, unit_region(d))]
+    while stack:
+        node, box = stack.pop()
+        if node == LEAF:
+            boxes.append(box)
+            continue
+        dec = split_decomposition(dec, box, node[0] - 1, len(node) - 1)
+        stack += zip(node[1:], split(box, node[0] - 1, len(node) - 1))
+    return dec, boxes
+
+
+def spellings(x):
+    """JSON spellings of the endpoint x that the reader accepts, the canonical one first."""
+    p, q = x.numerator, x.denominator
+    out = [str(x), f"{2 * p}/{2 * q}", f"{3 * p}/{3 * q}", f"+{p}/{q}"]
+    if q == 1:
+        out += [p, f"{p}.0"]
+    digits = next((m for m in range(1, 12) if 10 ** m % q == 0), None)
+    if digits is not None:
+        out.append(f"0.{p * 10 ** digits // q:0{digits}d}" if p < q else "1.0")
+    return out
+
+
+def test_every_constructor_builds_the_same_canonical_form():
+    rng = random.Random(20261018)
+    limits = {1: 8, 2: 5, 3: 4}
+    levels = {d: enumerate_decompositions_up_to(d, n) for d, n in limits.items()}
+    samples = [(dec, list(dec.regions)) for d in levels for decs in levels[d].values()
+               for dec in decs]
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        tree = random_tree(rng, d, rng.randint(1, 12))
+        dec, boxes = replay(tree, d)
+        assert psi(tree, d) == dec and hash(psi(tree, d)) == hash(dec)
+        if len(dec) <= limits[d]:
+            assert dec in levels[d][len(dec)]
+        samples.append((dec, boxes))
+    for dec, boxes in samples:
+        rng.shuffle(boxes)
+        assert dec.regions == tuple(sorted(boxes))
+        json_forms = [[[[spellings(e)[0] for e in iv] for iv in box] for box in boxes],
+                      [[[rng.choice(spellings(e)) for e in iv] for iv in box] for box in boxes]]
+        for other in [Decomposition(dec.d, boxes)] + [
+                decomposition_from_json_dict({"d": dec.d, "regions": regions})
+                for regions in json_forms]:
+            assert other == dec and hash(other) == hash(dec)
+
+
+def test_non_canonical_endpoints_give_the_same_object():
+    half = interval_dec(F(1, 2))
+    for lo, hi in (("2/4", "4/4"), ("0.5", 1), ("1/2", "1.0"), ("01/2", "3/3"), (" 1/2", "+1")):
+        dec = decomposition_from_json_dict({"d": 1, "regions": [[["0", lo]], [[lo, hi]]]})
+        assert dec == half and hash(dec) == hash(half) and dec.Ls == (2,)
+
+
+def test_decompositions_are_frozen_and_survive_pickling():
+    with pytest.raises(AttributeError):
+        EIGHT.grid = ELEVEN.grid
+    copy = pickle.loads(pickle.dumps(ELEVEN))
+    assert copy == ELEVEN and hash(copy) == hash(ELEVEN) and copy.regions == ELEVEN.regions
+
+
+def test_enumeration_never_asks_the_gcd_search(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the enumeration oracle called the gcd kernel")
+
+    for name in ("_gcd", "_search", "_cells"):
+        monkeypatch.setattr(geometry, name, kernel)
+    for d, n in ((1, 7), (2, 5), (3, 4)):
+        levels = enumerate_decompositions_up_to(d, n)
+        assert [len(levels[m]) for m in range(1, n + 1)] == decomposition_counts(d, n)[1:]

@@ -16,18 +16,18 @@ from cubedecomp.lcm_counts import _g_sorted, g_count
 MB = 1 << 20
 
 
-def traced_bytes(body: str):
+def traced_bytes(body: str, setup: str = ""):
     """(current, peak) traced allocation after running body in a fresh interpreter.
 
     A fresh process keeps whatever earlier tests left in memory out of the
-    count; it imports the same cubedecomp as this test.
+    count; it imports the same cubedecomp as this test.  setup runs before
+    tracing starts.
     """
     code = textwrap.dedent("""
         import gc, tracemalloc
         from cubedecomp.number_theory import mobius_d
         from cubedecomp.trees import enumerate_trees
-        tracemalloc.start()
-    """) + textwrap.dedent(body) + textwrap.dedent("""
+    """) + textwrap.dedent(setup) + "tracemalloc.start()\n" + textwrap.dedent(body) + textwrap.dedent("""
         gc.collect()
         print(*tracemalloc.get_traced_memory())
     """)
@@ -52,6 +52,35 @@ def test_tree_enumeration_keeps_nothing_after_return():
     """)
     assert peak > 1 * MB  # the enumeration itself did allocate
     assert current < MB // 2
+
+
+def test_table_rows_are_written_as_they_are_made():
+    # all 40,000 rows held at once took about 3.7 MB; a batch of rows is about 32 KiB,
+    # next to the 0.8 MB mu_3 table.  A first, small run leaves argparse's caches
+    # out of the count.
+    current, peak = traced_bytes(
+        """
+        real, sys.stdout = sys.stdout, Sink()
+        assert main(["mu", "--d", "3", "--n", "1..40000"]) == 0
+        sys.stdout, written = real, sys.stdout.written
+        assert written == 5_305_237
+        """,
+        setup="""
+        import io, sys
+        from cubedecomp.cli import main
+
+        class Sink(io.TextIOBase):
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+                return len(text)
+
+        real, sys.stdout = sys.stdout, Sink()
+        assert main(["mu", "--d", "3", "--n", "1..2"]) == 0
+        sys.stdout = real
+        """)
+    assert peak < 1 * MB
 
 
 def _cut_at(k: int) -> Decomposition:
