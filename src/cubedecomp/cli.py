@@ -19,7 +19,7 @@ enumerations.  `--threads` is accepted for interface stability; every
 computation runs on the deterministic single-threaded reference path.
 
 Exit codes: 0 success, 1 usage or computation error, 2 verification
-failure, 3 resource cap exceeded (see `--allow-large`).
+failure, 3 resource cap exceeded (see `--allow-large`) or memory exhausted.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ from .trees import enumerate_trees, format_tree, parse_tree, psi, tree_counts, t
 SCHEMA = "cubedecomp.v1"
 ENUM_CAP = 100_000
 LCM_PRODUCT_CAP = 10_000
+# Largest --max-n per table kind: each takes about 10 s or less at d = 3 on a
+# 2-core x86-64 VM (sd 600: 7.1 s, ad 6000: 8.3 s, refined 600: 7.6 s).  td
+# runs in under 1 s to 5000; past about 5600 even t_1(n) has more digits than
+# Python prints by default, so a larger table fails whatever its cost.
+MAX_N_CAPS = {"sd": 600, "ad": 6000, "td": 5000, "refined": 600}
 
 
 class _ResourceCap(Exception):
@@ -160,6 +165,12 @@ def _necs_text(system: Necs) -> str:
     return " ".join(f"{c.a}({c.n})" for c in system.classes)
 
 
+def _check_max_n(kind: str, args) -> None:
+    cap = MAX_N_CAPS[kind]
+    if args.max_n > cap and not args.allow_large:
+        raise _ResourceCap(f"--max-n {args.max_n} exceeds cap {cap} for {kind}")
+
+
 def _load_json_input(path: str) -> dict:
     if path == "-":
         return json.load(sys.stdin)
@@ -187,6 +198,7 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    _check_max_n(args.kind, args)
     params = {"kind": args.kind, "d": args.d, "max_n": args.max_n}
     if args.kind == "sd":
         values = decomposition_counts(args.d, args.max_n)
@@ -202,6 +214,7 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_refined(args) -> int:
+    _check_max_n("refined", args)
     values = refined_counts(args.d, args.r, args.max_n)
     params = {"d": args.d, "r": list(args.r), "max_n": args.max_n}
     _print_values("refined", params, "series", args.format,
@@ -553,6 +566,9 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=("sd", "ad", "td"))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--allow-large", action="store_true",
+                   help=f"lift the --max-n cap (sd {MAX_N_CAPS['sd']}, "
+                        f"ad {MAX_N_CAPS['ad']}, td {MAX_N_CAPS['td']})")
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("refined", parents=[common],
@@ -560,6 +576,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=_parse_int_vector, required=True, metavar="R1,..,RD")
     p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--allow-large", action="store_true",
+                   help=f"lift the --max-n cap {MAX_N_CAPS['refined']}")
     p.set_defaults(func=_cmd_refined)
 
     p = sub.add_parser("enum", parents=[common], help="enumerate objects exhaustively")
@@ -617,6 +635,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _ResourceCap as exc:
         print(f"cubedecomp: resource cap: {exc}; pass --allow-large to override",
               file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("cubedecomp: out of memory; try a smaller size", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cubedecomp: error: {exc}", file=sys.stderr)

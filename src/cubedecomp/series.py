@@ -20,30 +20,65 @@ coefficient as one dot product (Brent & Kung's baby-step/giant-step scheme),
 about 2*sqrt(N) truncated multiplications in place of N, plus B for H'*phi^j.
 The auxiliary coefficients come from their O(N^2) recurrence with the terms
 grouped by the few values of mu_d: one big-integer addition per nonzero term.
-`_revert_by_extraction` is a slower independent scheme kept as a cross-check.
+`_revert_by_extraction` is a slower independent scheme kept as a cross-check;
+its products are schoolbook dot products (`_mul_school`).
+
+Every other product is `_mul_trunc`, by Kronecker substitution: both operands
+are cut to their first order + 1 terms, and each is packed into one Python int
+with coefficient k in slot k, nb bytes wide, so that one multiplication gives
+every product coefficient p_k.
+  * Width.  With M the largest bits(a_i) + bits(b_j) over i + j <= order and
+    n the length of the shorter operand, |p_k| < n * 2^M < 2^(M + bits(n)) for
+    every k <= order.  So W = M + bits(n) + 1 bits hold p_k with its sign, and
+    nb = ceil(W / 8).  M reads the bit lengths of b as prefix maxima, so a
+    short slot serves the small low coefficients of a fast-growing series.
+    Every coefficient meets a_0 or b_0 in M, so the operands fit too.
+  * Signs.  A coefficient c goes in as nb-byte two's complement; flipping the
+    top bit of every slot (XOR with the bias, 2^(8*nb-1) per slot) makes it
+    c + 2^(8*nb-1) >= 0, and subtracting the bias leaves sum c_k 2^(8*nb*k)
+    exactly, whatever the signs.
+  * Truncation.  Slots above the order may overflow, but carries only move
+    up.  Adding the bias to the low order + 1 slots makes each of them
+    p_k + 2^(8*nb-1), in [0, 2^(8*nb)), so the product modulo
+    2^(8*nb*(order+1)) holds them with no borrow between slots; flipping the
+    top bits back and reading each slot as signed bytes gives p_k.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt, prod
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .number_theory import mobius_d_values
 
 
 def _mul_trunc(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
-    """Coefficients 0..order of the product of two dense coefficient lists."""
-    la, lb = len(a), len(b)
-    br = b[::-1]
-    out = []
-    for n in range(order + 1):
-        lo = max(0, n - lb + 1)
-        hi = min(n, la - 1)
-        if lo > hi:
-            out.append(0)
-        else:
-            # b[n-i] for i = lo..hi is the contiguous slice br[lb-1-n+lo : lb-1-n+hi+1]
-            out.append(sum(map(int.__mul__, a[lo:hi + 1], br[lb - 1 - n + lo:lb - n + hi])))
-    return out
+    """Coefficients 0..order of the product of two dense coefficient lists.
+
+    Kronecker substitution: each operand becomes one integer with a
+    coefficient per slot of nb bytes, so one big-integer multiplication forms
+    every coefficient at once.  See the module docstring for the slot width
+    and the sign bias.
+    """
+    a, b = a[:order + 1] or [0], b[:order + 1] or [0]
+    # reach[order - i]: bits of the largest |b_j| that meets a_i below z^(order+1)
+    reach = list(accumulate(map(int.bit_length, b), max))
+    reach += reach[-1:] * (order + 1 - len(reach))
+    width = (max(map(add, map(int.bit_length, a), reach[::-1]))
+             + min(len(a), len(b)).bit_length() + 1)
+    nb = (width + 7) >> 3
+    slot = bytes(nb - 1) + b"\x80"  # 2^(8*nb-1), the sign bias of one slot
+
+    def pack(s: Sequence[int]) -> int:
+        bias = int.from_bytes(slot * len(s), "little")
+        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in s])
+        return (int.from_bytes(raw, "little") ^ bias) - bias
+
+    top = int.from_bytes(slot * (order + 1), "little")
+    low = ((pack(a) * pack(b) + top) & ((1 << (8 * nb * (order + 1))) - 1)) ^ top
+    raw = low.to_bytes(nb * (order + 1), "little")
+    return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
 
 
 @dataclass(frozen=True)
@@ -164,22 +199,39 @@ def decomposition_series(d: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(decomposition_counts(d, order)))
 
 
+def _mul_school(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
+    """Coefficients 0..order of a*b, one dot product per coefficient."""
+    la, lb = len(a), len(b)
+    br = b[::-1]
+    out = []
+    for n in range(order + 1):
+        lo = max(0, n - lb + 1)
+        hi = min(n, la - 1)
+        if lo > hi:
+            out.append(0)
+        else:
+            # b[n-i] for i = lo..hi is the contiguous slice br[lb-1-n+lo : lb-1-n+hi+1]
+            out.append(sum(map(int.__mul__, a[lo:hi + 1], br[lb - 1 - n + lo:lb - n + hi])))
+    return out
+
+
 def _revert_by_extraction(d: int, max_n: int) -> List[int]:
     """Independent reversion: iterative coefficient extraction.
 
     s(1) = 1 and s(n) = -sum_{k=2}^{n} mu_d(k) [x^n] y^k using only earlier
     coefficients ([x^n] y^k never involves s(n) for k >= 2).  Quartic-time;
-    used as a cross-check at moderate orders.
+    used as a cross-check at moderate orders.  Its products are the schoolbook
+    ones of `_mul_school`, so it shares no arithmetic with `_mul_trunc`.
     """
     mu = mobius_d_values(d, max_n)
     y = [0] * (max_n + 1)
     y[1] = 1
     for n in range(2, max_n + 1):
         # y[n] is still 0 here; harmless, since [x^n] y^k for k >= 2 never uses it.
-        p = _mul_trunc(y, y, n)
+        p = _mul_school(y, y, n)
         total = mu[2] * p[n]
         for k in range(3, n + 1):
-            p = _mul_trunc(p, y, n)
+            p = _mul_school(p, y, n)
             if mu[k]:
                 total += mu[k] * p[n]
         y[n] = -total

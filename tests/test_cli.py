@@ -13,7 +13,7 @@ import pytest
 
 from cubedecomp import cli
 from cubedecomp.number_theory import mobius_d
-from cubedecomp.series import decomposition_counts, refined_counts
+from cubedecomp.series import decomposition_counts, refined_counts, series_from_list
 
 
 def run(capsys, *args):
@@ -445,6 +445,75 @@ def test_oracle_command_bytes_are_pinned(capsys, command):
     assert cli.main(shlex.split(command)) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == ORACLE_COMMAND_SHA256[command]
+
+
+# Full stdout digests of series tables past the benchmark sizes, as the
+# schoolbook product printed them; both refined tables carry a signed weight.
+LARGE_SERIES_SHA256 = {
+    "seq sd --d 3 --max-n 200":
+        "aa563c5e833af568df8486dfaa30f4eab5909d5d4e841e9c41a307b1e5a099eb",
+    "refined --d 1 --r 3 --max-n 150":
+        "8d3fc12d3b89746b073f894eb3a5dbb138d309b426d037dae6142e8a06e9943e",
+    "refined --d 2 --r 2,1 --max-n 60 --format csv":
+        "ff2916b2b5bc4448b4e5fa11a6b16bbc29a465a4074f890b5d0d0d2c1e76b38a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_SERIES_SHA256))
+def test_large_series_bytes_are_pinned(capsys, command):
+    assert cli.main(shlex.split(command)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == LARGE_SERIES_SHA256[command]
+
+
+# (argv without --max-n, cap kind, the function the command computes with)
+TABLE_CAPS = [
+    (["seq", "sd", "--d", "1"], "sd", "decomposition_counts"),
+    (["seq", "ad", "--d", "1"], "ad", "auxiliary_counts"),
+    (["seq", "td", "--d", "1"], "td", "tree_counts"),
+    (["refined", "--d", "1", "--r", "2"], "refined", "refined_counts"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, compute", TABLE_CAPS)
+def test_max_n_cap_exits_three_before_computing(capsys, monkeypatch, argv, kind, compute):
+    def refuse(*args):
+        raise AssertionError(f"{compute} ran past the cap")
+
+    monkeypatch.setattr(cli, compute, refuse)
+    code = cli.main(argv + ["--max-n", str(cli.MAX_N_CAPS[kind] + 1)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (f"cubedecomp: resource cap: --max-n {cli.MAX_N_CAPS[kind] + 1} "
+                            f"exceeds cap {cli.MAX_N_CAPS[kind]} for {kind}; "
+                            "pass --allow-large to override\n")
+
+
+@pytest.mark.parametrize("argv, kind, compute", TABLE_CAPS)
+def test_allow_large_passes_the_max_n_cap(capsys, monkeypatch, argv, kind, compute):
+    calls = []
+
+    def zeros(*args):  # stands in for the large computation
+        calls.append(args[-1])
+        return series_from_list([0] * (args[-1] + 1)) if kind == "td" else [0] * (args[-1] + 1)
+
+    monkeypatch.setattr(cli, compute, zeros)
+    cap = cli.MAX_N_CAPS[kind]
+    for extra in ([str(cap)], [str(cap + 1), "--allow-large"]):
+        code, out = run(capsys, *argv, "--max-n", *extra, "--format", "csv")
+        assert code == 0 and set(out.strip().split(",")) == {"0"}
+    assert calls == [cap, cap + 1]
+
+
+def test_memory_error_exits_three_with_one_line(capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "auxiliary_counts", exhaust)
+    code = cli.main(["seq", "ad", "--d", "1", "--max-n", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "cubedecomp: out of memory; try a smaller size\n"
 
 
 README_EXAMPLES = re.findall(

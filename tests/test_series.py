@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubedecomp import series
 from cubedecomp.number_theory import mobius_d_values
 from cubedecomp.series import (
     TruncatedSeries,
+    _mul_school,
     _mul_trunc,
     _revert_by_extraction,
     auxiliary_counts,
@@ -55,6 +57,46 @@ def test_multiplication_distributes(a, b, c):
     ab, ac = _mul_trunc(a.coeffs, b.coeffs, n), _mul_trunc(a.coeffs, c.coeffs, n)
     rhs = [u + v for u, v in zip(ab, ac)]
     assert lhs == rhs
+
+
+# Signed coefficients of 0 to 3000 bits, sizes mixed within one operand.
+wide_coefficient = st.integers(min_value=0, max_value=3000).flatmap(
+    lambda bits: st.integers(min_value=-(1 << bits), max_value=1 << bits))
+wide_operand = st.one_of(
+    st.lists(wide_coefficient, max_size=24),
+    st.lists(st.just(0), min_size=1, max_size=8),
+    st.lists(wide_coefficient, min_size=1, max_size=1),
+)
+
+
+@given(wide_operand, wide_operand, st.integers(min_value=0, max_value=60))
+def test_kronecker_product_matches_the_schoolbook_product(a, b, order):
+    # order runs below, at and beyond the operand lengths
+    assert _mul_trunc(a, b, order) == _mul_school(a, b, order)
+    assert _mul_trunc(tuple(b), tuple(a), order) == _mul_school(b, a, order)
+
+
+@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, -1)])
+def test_kronecker_product_at_the_slot_bound(sign_a, sign_b):
+    # Equal coefficients 2^k - 1 of one sign bring |p_k| closest to the slot
+    # bound; the bit sizes cover every residue of the width mod 8, so a slot
+    # one bit narrower than the bound overflows in some case here.
+    for bits in range(1, 41):
+        for length in range(1, 10):
+            a = [sign_a * ((1 << bits) - 1)] * length
+            b = [sign_b * ((1 << (bits + length % 3)) - 1)] * length
+            for order in (length - 1, 2 * length - 2, 2 * length):
+                assert _mul_trunc(a, b, order) == _mul_school(a, b, order), (bits, length)
+
+
+def test_extraction_oracle_does_not_use_the_fast_product(monkeypatch):
+    expected = decomposition_counts(2, 12)
+
+    def refuse(*args):
+        raise AssertionError("the oracle called _mul_trunc")
+
+    monkeypatch.setattr(series, "_mul_trunc", refuse)
+    assert _revert_by_extraction(2, 12) == expected
 
 
 def test_coefficient_bounds_checked():
