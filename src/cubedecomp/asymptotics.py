@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Tuple
 
@@ -116,20 +115,42 @@ def eval_M_second(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     return value, tail
 
 
-@dataclass(frozen=True)
 class SaddleResult:
-    """Located maximum of M_d on (0, 1) and the growth data derived from it."""
+    """Located maximum of M_d on (0, 1) and the growth data derived from it.  Frozen."""
 
-    d: int
-    s: float
-    M_at_s: float
-    M2_at_s: float
-    growth_rate: float
-    truncation_order: int
-    tail_bound_used: float
+    __slots__ = ("d", "s", "M_at_s", "M2_at_s", "growth_rate", "truncation_order",
+                 "tail_bound_used")
+
+    def __init__(self, d: int, s: float, M_at_s: float, M2_at_s: float, growth_rate: float,
+                 truncation_order: int, tail_bound_used: float):
+        values = (d, s, M_at_s, M2_at_s, growth_rate, truncation_order, tail_bound_used)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return SaddleResult, self._fields()
+
+    def __eq__(self, other):
+        return type(other) is SaddleResult and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SaddleResult({inner})"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._fields()))
 
 
 def saddle_bracket(d: int) -> Tuple[float, float]:

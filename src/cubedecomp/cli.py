@@ -76,8 +76,7 @@ ENUM_CAP = 100_000
 LCM_PRODUCT_CAP = 10_000
 # Largest --max-n per table kind: each takes about 10 s or less at d = 3 on a
 # 2-core x86-64 VM (sd 600: 7.1 s, ad 6000: 8.3 s, refined 600: 7.6 s).  td
-# runs in under 1 s to 5000; past about 5600 even t_1(n) has more digits than
-# Python prints by default, so a larger table fails whatever its cost.
+# runs in under 1 s to 5000.
 MAX_N_CAPS = {"sd": 600, "ad": 6000, "td": 5000, "refined": 600}
 
 
@@ -138,21 +137,33 @@ def _emit(fmt: str, text: object, command: str, params: dict, provenance: str,
 
 def _print_values(command: str, params: dict, provenance: str, fmt: str,
                   pairs: Iterable[Tuple[int, int]]) -> None:
-    """Emit an indexed integer table: JSON record per entry, or one CSV line."""
-    if fmt == "csv":
-        print(",".join(str(v) for _, v in pairs))
-        return
-    # Only n and value change from row to row: serialise the rest once.  The
-    # result sorts between provenance and schema, so the tail holds no row data.
-    head, _, tail = _record(command, params, provenance, {"n": 0}).rpartition('{"n":0}')
-    write, batch, size = sys.stdout.write, [], 0
-    for n, v in pairs:  # read lazily; the rows go out about 32 KiB at a time
-        batch.append(f'{head}{{"n":{n},"value":"{v}"}}{tail}\n')
-        size += len(batch[-1])
-        if size >= 1 << 15:
-            write("".join(batch))
-            batch, size = [], 0
-    write("".join(batch))
+    """Emit an indexed integer table: JSON record per entry, or one CSV line.
+
+    The values were computed here, not read, so the interpreter's limit on
+    int -> str digits (a guard against hostile input, Python >= 3.11) is lifted
+    while they are written, and put back afterwards.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "csv":
+            print(",".join(str(v) for _, v in pairs))
+            return
+        # Only n and value change from row to row: serialise the rest once.  The
+        # result sorts between provenance and schema, so the tail holds no row data.
+        head, _, tail = _record(command, params, provenance, {"n": 0}).rpartition('{"n":0}')
+        write, batch, size = sys.stdout.write, [], 0
+        for n, v in pairs:  # read lazily; the rows go out about 32 KiB at a time
+            batch.append(f'{head}{{"n":{n},"value":"{v}"}}{tail}\n')
+            size += len(batch[-1])
+            if size >= 1 << 15:
+                write("".join(batch))
+                batch, size = [], 0
+        write("".join(batch))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _decomposition_text(dec: Decomposition) -> str:
@@ -186,8 +197,10 @@ def _cmd_mu(args) -> int:
     if lo < 1:
         raise ValueError(f"mu is defined for n >= 1, got {lo}")
     params = {"d": args.d, "n": f"{lo}..{hi}"}
-    # The table costs O(hi) however narrow the range, a point query O(sqrt(n));
-    # measured, the table is faster once the range holds 16-64 isqrt(hi) values.
+    # The table costs O(hi) however narrow the range.  A point query costs one gcd,
+    # plus trial division above 2^11 while the cofactor exceeds 2^22, so up to
+    # O(sqrt(n)).  The switch was measured before the gcd step, when the table won
+    # once the range held 16-64 isqrt(hi) values; one segmented sieve is to replace it.
     if hi - lo + 1 >= 32 * math.isqrt(hi):
         table = mobius_d_values(args.d, hi)
         pairs = ((n, table[n]) for n in range(lo, hi + 1))

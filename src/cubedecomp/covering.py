@@ -12,7 +12,6 @@ a mod n -> j + r*a mod r*n, which multiplies each modulus by r and hence
 preserves the componentwise gcd and lcm of the two worlds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 from typing import Dict, List, NamedTuple, Set, Tuple
@@ -25,16 +24,31 @@ class ResidueClass(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
 class Necs:
-    """A natural exact covering system, classes sorted by (modulus, representative)."""
+    """A natural exact covering system, classes sorted by (modulus, representative).  Frozen."""
 
-    classes: Tuple[ResidueClass, ...]
+    __slots__ = ("classes",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "classes", tuple(sorted(self.classes, key=lambda c: (c.n, c.a)))
-        )
+    def __init__(self, classes: Tuple[ResidueClass, ...]):
+        object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: (c.n, c.a))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Necs, (self.classes,)
+
+    def __eq__(self, other):
+        return type(other) is Necs and self.classes == other.classes
+
+    def __hash__(self) -> int:
+        return hash((self.classes,))
+
+    def __repr__(self) -> str:
+        return f"Necs(classes={self.classes!r})"
 
     def __len__(self) -> int:
         return len(self.classes)

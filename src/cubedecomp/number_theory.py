@@ -6,39 +6,51 @@ function mu.  On n = p_1^m_1 * ... * p_k^m_k it has the closed form
     mu_d(n) = prod_i (-1)^m_i * C(d, m_i)
 
 (so mu_d(n) = 0 as soon as some exponent exceeds d).  A point query
-(`factorize`, `mobius_d`, `divisors`) factors n by trial division, so its
-cost follows sqrt(n) and it allocates nothing that outlives the call.  A
-table (`mobius_d_values`) applies the closed form through a prime-power
-sieve over 1..max_n.  `mobius_d_by_convolution` provides the defining route
-independently; tests check the routes against each other.  The module keeps
-no state between calls.
+(`factorize`, `mobius_d`, `divisors`) reads the prime factors of n up to
+B = 2^11 (`_BOUND`) off one gcd of n with the product of the primes up to B,
+the smooth-part step of Bernstein ("How to find smooth parts of integers",
+2004).  Trial division runs over the primes of that gcd, and above B only
+while what is left of n exceeds B^2.  A point query allocates nothing that
+outlives the call.  A table (`mobius_d_values`) applies the closed form
+through a prime-power sieve over 1..max_n.  `mobius_d_by_convolution`
+provides the defining route independently; tests check the routes against
+each other.  The module keeps no state between calls: the primes up to B
+and their product are built once, at import, and never change.
 
 Sequences are dense integer lists indexed by n with slot 0 unused (kept 0),
 so seq[n] is the value at n for 1 <= n <= len(seq)-1.
 """
 
 from itertools import compress
-from math import comb, isqrt
-from typing import List, Tuple
+from math import comb, gcd, isqrt, prod
+from typing import Iterator, List, Tuple
+
+_BOUND = 1 << 11
+_is_prime = bytearray([0, 0]) + bytearray([1]) * (_BOUND - 1)
+for _p in range(2, isqrt(_BOUND) + 1):
+    if _is_prime[_p]:
+        _is_prime[_p * _p::_p] = bytes(len(range(_p * _p, _BOUND + 1, _p)))
+_PRIMES = tuple(compress(range(_BOUND + 1), _is_prime))  # the 309 primes up to B
+_PRIMORIAL = prod(_PRIMES)  # 2865 bits
+del _is_prime, _p
 
 
-def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as a tuple of (prime, exponent), primes ascending.
-
-    Trial division by 2, 3 and then the candidates 6j - 1 and 6j + 1, up to
-    the square root of what is left of n.
-    """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    out = []
-    q = 5
+def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1, primes ascending, as they are found."""
+    g = gcd(n, _PRIMORIAL)  # squarefree: the primes up to B that divide n
+    primes = iter(_PRIMES)
+    q = _BOUND // 6 * 6 - 1  # the pair 6j - 1, 6j + 1 with 6j <= B < 6j + 6
     while n > 1:
-        if n % 2 == 0:
-            p = 2
-        elif n % 3 == 0:
-            p = 3
-        else:
-            p = n  # unless a candidate up to sqrt(n) divides it, n is prime
+        if g > 1:  # the next prime of g: what is left of g is prime once p^2 exceeds it
+            for p in primes:
+                if p * p > g:
+                    p = g
+                    break
+                if g % p == 0:
+                    break
+            g //= p
+        else:  # no prime factor up to B is left, so n is prime while n <= B^2
+            p = n  # unless a candidate 6j - 1, 6j + 1 up to sqrt(n) divides it
             for q in range(q, isqrt(n) + 1, 6):
                 if n % q == 0:
                     p = q
@@ -50,8 +62,22 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
         while n % p == 0:
             n //= p
             m += 1
-        out.append((p, m))
-    return tuple(out)
+        yield p, m
+
+
+def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as a tuple of (prime, exponent), primes ascending.
+
+    One gcd of n with the product of the primes up to B = 2^11 gives the
+    primes up to B that divide n.  Trial division runs over those primes
+    only, and stops once p^2 exceeds what is left of the gcd.  What is then
+    left of n has no prime factor up to B, so it is 1 or a prime while it is
+    at most B^2.  Only above B^2 are the candidates 6j - 1 and 6j + 1 from B
+    on tried, up to its square root.
+    """
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    return tuple(_prime_powers(n))
 
 
 def mobius(n: int) -> int:
@@ -69,11 +95,10 @@ def mobius_d(d: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"mobius_d requires n >= 1, got {n}")
     result = 1
-    for _, m in factorize(n):
-        c = comb(d, m) if m <= d else 0
-        if c == 0:
+    for _, m in _prime_powers(n):
+        if m > d:
             return 0
-        result *= (-1) ** m * c
+        result *= (-1) ** m * comb(d, m)
     return result
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -530,3 +532,60 @@ def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, payloa
                                                      expected):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     assert run(capsys, command, "--in", "-", "--format", "csv") == (0, expected + "\n")
+
+
+def test_seq_td_writes_values_beyond_the_int_digit_limit(capsys):
+    # t_3(4000) has about 4570 digits, past the interpreter's default 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "seq", "td", "--d", "3", "--max-n", "4000")
+    assert code == 0
+    last = json.loads(out[out.rindex("\n", 0, -1) + 1:])["result"]
+    assert last["n"] == 4000 and last["value"].isdigit() and len(last["value"]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_csv_values_beyond_the_int_digit_limit_and_the_limit_comes_back(capsys):
+    big = 7 * 10**5000
+    cli._print_values("seq", {}, "series", "csv", [(1, -big), (2, big)])
+    assert capsys.readouterr().out == f"-7{'0' * 5000},7{'0' * 5000}\n"
+    if hasattr(sys, "get_int_max_str_digits"):  # Python >= 3.11: input keeps the limit
+        with pytest.raises(ValueError):
+            int("1" * 5000)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each costs start-up time on every command; compare with what the interpreter
+    # (and any site hook) had loaded already
+    code = ("import sys; before = set(sys.modules); import cubedecomp.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_result_classes_are_frozen_values():
+    from cubedecomp.asymptotics import SaddleResult, find_saddle
+    from cubedecomp.covering import Necs, ResidueClass
+    from cubedecomp.series import TruncatedSeries
+
+    saddle = find_saddle(2)
+    assert list(saddle.to_json_dict()) == ["d", "s", "M_at_s", "M2_at_s", "growth_rate",
+                                           "truncation_order", "tail_bound_used"]
+    again = SaddleResult(**saddle.to_json_dict())
+    necs = Necs((ResidueClass(1, 2), ResidueClass(0, 2)))
+    series = TruncatedSeries((0, 1, -2))
+    cases = [(saddle, again, find_saddle(3), "s"),
+             (necs, Necs((ResidueClass(0, 2), ResidueClass(1, 2))), Necs(()), "classes"),
+             (series, TruncatedSeries((0, 1, -2)), TruncatedSeries((0, 1)), "coeffs")]
+    for obj, same, other, name in cases:
+        assert obj == same and hash(obj) == hash(same) and obj != other
+        assert obj != (getattr(obj, name),)
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert necs.classes == (ResidueClass(0, 2), ResidueClass(1, 2))
+    assert repr(series) == "TruncatedSeries(coeffs=(0, 1, -2))"
+    assert repr(necs) == "Necs(classes=(ResidueClass(a=0, n=2), ResidueClass(a=1, n=2)))"

@@ -142,3 +142,69 @@ def test_invalid_arguments_raise():
         mobius_d(2, 0)
     with pytest.raises(ValueError):
         mobius_d_values(-1, 5)
+
+
+# The point query reads the primes up to B off one gcd and trial-divides above B
+# only while the cofactor exceeds B^2; these tests sit on both edges.
+B = number_theory._BOUND
+
+
+def trial_division(n):
+    """Plain trial division by 2, 3, 4, ... up to the square root: the reference."""
+    out, p = [], 2
+    while p * p <= n:
+        m = 0
+        while n % p == 0:
+            n //= p
+            m += 1
+        if m:
+            out.append((p, m))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_prime(n):
+    return trial_division(n) == ((n, 1),)
+
+
+PRIMES_ABOVE_B = [p for p in range(B + 1, B + 40) if is_prime(p)][:3]
+
+
+def test_the_gcd_constant_is_the_product_of_the_primes_up_to_the_bound():
+    assert number_theory._PRIMES == tuple(p for p in range(2, B + 1) if is_prime(p))
+    assert number_theory._PRIMORIAL == prod(number_theory._PRIMES)
+
+
+def test_factorize_at_the_edges_of_the_bound():
+    p, q, r = PRIMES_ABOVE_B
+    ns = [B - 1, B, B + 1, B * B - 1, B * B, B * B + 1,
+          p, q, r, p * p, q * q, r * r, p * q, p * r, q * r, p * q * r, 2 * 3 * p * q,
+          2**23, 2**40, 2**60 + 1, 3**14, 3**30, 2**11 * 3**14]
+    for n in ns:
+        assert factorize(n) == trial_division(n), n
+    assert factorize(p * p) == ((p, 2),) and factorize(p * q) == ((p, 1), (q, 1))
+    assert factorize(2**40) == ((2, 40),) and factorize(3**30) == ((3, 30),)
+
+
+def test_factorize_semiprimes_near_10_to_the_12():
+    # 999979, 999983 and 1000003 are the primes next to 10^6
+    assert factorize(999983 * 1000003) == ((999983, 1), (1000003, 1))
+    assert factorize(999979 * 999983) == ((999979, 1), (999983, 1))
+    assert factorize(1000003**2) == ((1000003, 2),)
+    assert factorize(2 * 3**2 * 999983 * 1000003) == ((2, 1), (3, 2), (999983, 1), (1000003, 1))
+    assert factorize(999983) == ((999983, 1),)
+    assert mobius_d(2, 999983 * 1000003) == 4 and mobius_d(1, 1000003**2) == 0
+
+
+@pytest.mark.parametrize("centre", [B, B * B])
+def test_factorize_matches_trial_division_around_the_bound(centre):
+    for n in range(centre - 2000, centre + 2001):
+        assert factorize(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_point_query_matches_the_table(d):
+    table = mobius_d_values(d, 5000)
+    assert [mobius_d(d, n) for n in range(1, 5001)] == table[1:]
