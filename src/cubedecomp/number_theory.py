@@ -15,7 +15,7 @@ outlives the call.  A table (`mobius_d_values`) applies the closed form
 through a prime-power sieve over 1..max_n.  `mobius_d_by_convolution`
 provides the defining route independently; tests check the routes against
 each other.  The module keeps no state between calls: the primes up to B
-and their product are built once, at import, and never change.
+and their product are built once, at import, by `_primes`, and never change.
 
 Sequences are dense integer lists indexed by n with slot 0 unused (kept 0),
 so seq[n] is the value at n for 1 <= n <= len(seq)-1.
@@ -25,14 +25,18 @@ from itertools import compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterator, List, Tuple
 
+
+def _primes(n: int) -> Iterator[int]:
+    """The primes up to n, ascending, by the sieve of Eratosthenes."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in compress(range(isqrt(n) + 1), flags):
+        flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return compress(range(n + 1), flags)
+
+
 _BOUND = 1 << 11
-_is_prime = bytearray([0, 0]) + bytearray([1]) * (_BOUND - 1)
-for _p in range(2, isqrt(_BOUND) + 1):
-    if _is_prime[_p]:
-        _is_prime[_p * _p::_p] = bytes(len(range(_p * _p, _BOUND + 1, _p)))
-_PRIMES = tuple(compress(range(_BOUND + 1), _is_prime))  # the 309 primes up to B
+_PRIMES = tuple(_primes(_BOUND))  # the 309 primes up to B
 _PRIMORIAL = prod(_PRIMES)  # 2865 bits
-del _is_prime, _p
 
 
 def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
@@ -114,13 +118,7 @@ def mobius_d_values(d: int, max_n: int) -> List[int]:
     if d < 0:
         raise ValueError(f"mobius_d_values requires d >= 0, got {d}")
     values = [0] + [1] * max_n
-    if max_n < 2:
-        return values
-    is_prime = bytearray([0, 0]) + bytearray([1]) * (max_n - 1)
-    for p in range(2, isqrt(max_n) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = bytes(len(range(p * p, max_n + 1, p)))
-    for p in compress(range(max_n + 1), is_prime):
+    for p in _primes(max_n):
         q, prev = p, 1
         for m in range(1, d + 2):
             if q > max_n:

@@ -28,6 +28,11 @@ orphans, surplus 108).
 Appending a weight-1 set (with a repair step when that would create an
 OAR) injects reduced level n into reduced level n+1, so the reduced
 counts never decrease.
+
+Both enumerations build the sets of each weight once per call.
+`iter_sequences` yields every sequence of A_{d,n} as a tuple, for the
+checks that inspect it; `signed_sum` only needs signs, so it walks the same
+sequences on a stack of (weight left, sign so far) and builds no tuple.
 """
 
 from itertools import combinations
@@ -85,18 +90,21 @@ def enumerate_B(d: int, n: int) -> List[PrimeSet]:
 def iter_sequences(d: int, n: int) -> Iterator[PrimeSequence]:
     """All sequences of nonempty d-coloured prime sets with total weight n.
 
-    Lazy; distinct by construction (first-set weight then recursion).
+    Lazy; distinct by construction (first-set weight then recursion).  The
+    sets of each weight are built once per call.
     """
-    if n == 0:
-        yield ()
-        return
-    for w in range(1, n + 1):
-        first_sets = enumerate_B(d, w)
-        if not first_sets:
-            continue
-        for rest in iter_sequences(d, n - w):
-            for s in first_sets:
-                yield (s,) + rest
+    sets = [[]] + [enumerate_B(d, w) for w in range(1, n + 1)]
+
+    def walk(m: int) -> Iterator[PrimeSequence]:
+        if m == 0:
+            yield ()
+        for w in range(1, m + 1):
+            if sets[w]:
+                for rest in walk(m - w):
+                    for s in sets[w]:
+                        yield (s,) + rest
+
+    yield from walk(n)
 
 
 def enumerate_A(d: int, n: int) -> List[PrimeSequence]:
@@ -105,10 +113,30 @@ def enumerate_A(d: int, n: int) -> List[PrimeSequence]:
 
 
 def signed_sum(d: int, n: int) -> int:
-    """Sum of sequence signs over A_{d,n}; equals the auxiliary count a_d(n)."""
+    """Sum of sequence signs over A_{d,n}; equals the auxiliary count a_d(n).
+
+    Walks every sequence of A_{d,n} on one stack of (weight left, sign so
+    far), over the signs of the sets of each weight, built once per call.
+    A sequence is one leaf: the step that adds its last set.  Nothing
+    groups sequences, so this stays an enumeration, the independent side
+    of the check against `auxiliary_counts`.
+    """
     if n == 0:
         return 1
-    return sum(sequence_sign(seq) for seq in iter_sequences(d, n))
+    signs = [[set_sign(s) for s in enumerate_B(d, w)] for w in range(n + 1)]
+    total = 0
+    stack = [n, 1]
+    pop, push = stack.pop, stack.append
+    while stack:
+        sign = pop()
+        left = pop()
+        for w in range(1, left):
+            for s in signs[w]:
+                push(left - w)
+                push(sign * s)
+        for s in signs[left]:
+            total += sign * s
+    return total
 
 
 def first_even_set(seq: PrimeSequence) -> Optional[int]:

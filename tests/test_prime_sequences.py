@@ -1,5 +1,7 @@
 """Coloured prime sets and sequences, the partner map, and the signed counts."""
 
+from itertools import zip_longest
+
 import pytest
 
 from cubedecomp.number_theory import mobius_d
@@ -73,6 +75,38 @@ def test_sequences_partition_by_first_set_weight():
     assert len(seqs) == len(set(seqs))
     assert all(sequence_weight(s) == 4 for s in seqs)
     assert list(iter_sequences(2, 0)) == [()]
+
+
+def recursive_sequences(d, n):
+    """Reference enumeration: the plain recursion on the first set's weight.
+
+    It calls enumerate_B at every level.  The oracle for the order of
+    iter_sequences: first-set weight, then the rest in this same order, then
+    the first set.
+    """
+    if n == 0:
+        yield ()
+        return
+    for w in range(1, n + 1):
+        first_sets = enumerate_B(d, w)
+        if not first_sets:
+            continue
+        for rest in recursive_sequences(d, n - w):
+            for s in first_sets:
+                yield (s,) + rest
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_iter_sequences_keeps_the_recursive_order(d):
+    for n in range(11):
+        for k, (new, old) in enumerate(zip_longest(iter_sequences(d, n), recursive_sequences(d, n))):
+            assert new == old, (d, n, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_signed_sum_is_the_sum_of_signs_over_the_recursive_enumeration(d):
+    for n in range(11):
+        assert signed_sum(d, n) == sum(map(sequence_sign, recursive_sequences(d, n))), (d, n)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -148,9 +148,57 @@ def test_reversion_round_trip(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_reversion_against_extraction_route(d):
-    # max_n at the edges of the baby-step/giant-step blocks of isqrt(max_n - 1) + 1
-    for max_n in (1, 2, 3, 4, 5, 9, 10, 16, 17, 25, 26):
+    # Every max_n up to 45: each block size B = isqrt(max_n - 1) + 1 from 1 to 7
+    # and each count of giant powers, none (max_n < 2B) included.
+    for max_n in range(1, 46):
         assert _revert_by_extraction(d, max_n) == decomposition_counts(d, max_n)
+
+
+@pytest.mark.parametrize("phi", [[1, 2, -1, 3], [1, -1], [2, 1, 1, 1], [0, 1, 1], [-1, 3]])
+def test_lagrange_refuses_a_phi_its_chains_cannot_pack(phi):
+    # The chains pack without a sign bias and bound their widths through
+    # phi_0 = 1 and phi >= 0; anything else raises, with no other route.
+    with pytest.raises(ArithmeticError):
+        series._lagrange(phi, len(phi))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_n", [2, 3, 10, 40, 140, 300])
+def test_every_chain_power_fits_its_slot_width(monkeypatch, d, max_n):
+    chains = []
+    real_chain = series._power_chain
+
+    def record(first, fixed, links, order, nb=0):
+        powers = list(real_chain(first, fixed, links, order, nb))
+        chains.append((nb, powers))
+        return iter(powers)
+
+    monkeypatch.setattr(series, "_power_chain", record)
+    decomposition_counts(d, max_n)
+    order = max_n - 1
+    step = math.isqrt(order) + 1
+    phi = auxiliary_counts(d, order)
+    (baby_nb, baby), (giant_nb, giant) = chains
+    # The baby chain phi^2..phi^B has one width, from the bound at J = B: every
+    # coefficient fits, and the width is within a byte of the fewest that hold
+    # the largest coefficient of phi^B.
+    assert baby_nb > 0 and len(baby) == step - 1
+    power = phi
+    for got, nb in baby:
+        power = _mul_trunc(power, phi, order)
+        assert got == power and nb == baby_nb
+        assert max(power) < 1 << 8 * nb
+    assert baby_nb <= (max(power).bit_length() + 7) // 8 + 1
+    # The giant chain phi^(2B), phi^(3B), ... takes each link's width from its
+    # own bound; phi is nondecreasing, so that bound is the top coefficient
+    # and the width is the fewest bytes that hold it.
+    assert giant_nb == 0 and len(giant) == max_n // step - 1
+    base = power
+    for got, nb in giant:
+        power = _mul_trunc(power, base, order)
+        assert got == power
+        assert max(power) < 1 << 8 * nb
+        assert nb == (max(power).bit_length() + 7) // 8
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -205,6 +253,12 @@ def test_refined_counts_partition_in_dimension_two():
     (2, (1, 1), 30), (1, (3,), 30), (2, (2, 1), 25), (2, (3, 2), 40), (3, (2, 1, 1), 25),
     (2, (2, 2), 40), (1, (7,), 40), (1, (9,), 40), (2, (4, 4), 48),
     (2, (5, 5), 25), (1, (26,), 26),
+] + [
+    # both sides of the block edges: B grows after max_n = k^2 + 1, and the
+    # giant chain gains a link at each multiple of B
+    (d, r, max_n)
+    for d, r in ((1, (1,)), (1, (2,)), (2, (1, 1)), (2, (2, 1)), (3, (1, 1, 2)))
+    for max_n in (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 15, 16, 17, 18, 20, 24, 25, 26, 27, 30)
 ])
 def test_refined_counts_match_composition(d, r, max_n):
     # sum_m mu_d(m) y^(P m), evaluated independently by Horner in TruncatedSeries
