@@ -30,6 +30,7 @@ from array import array
 from functools import lru_cache
 from typing import Tuple
 
+from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
 DEFAULT_K = 6
@@ -115,7 +116,7 @@ def eval_M_second(d: int, x: float, k: int = DEFAULT_K) -> Tuple[float, float]:
     return value, tail
 
 
-class SaddleResult:
+class SaddleResult(Frozen):
     """Located maximum of M_d on (0, 1) and the growth data derived from it.  Frozen."""
 
     __slots__ = ("d", "s", "M_at_s", "M2_at_s", "growth_rate", "truncation_order",
@@ -127,30 +128,8 @@ class SaddleResult:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        return SaddleResult, self._fields()
-
-    def __eq__(self, other):
-        return type(other) is SaddleResult and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"SaddleResult({inner})"
-
     def to_json_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._fields()))
+        return dict(zip(self._key, self._values()))
 
 
 def saddle_bracket(d: int) -> Tuple[float, float]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from itertools import chain
@@ -262,10 +263,13 @@ def _cmd_enum(args) -> int:
     objs, to_json, to_text = _enum_objects(args)
     params = {"target": args.target, "d": args.d, "n": args.n}
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            for obj in objs:
-                fh.write(json.dumps(to_json(obj), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                for obj in objs:
+                    fh.write(json.dumps(to_json(obj), sort_keys=True,
+                                        separators=(",", ":")) + "\n")
+        except BrokenPipeError as exc:  # an error, unlike a closed stdout
+            raise OSError(f"cannot write {args.emit}: {exc.strerror}") from None
         _emit(args.format, f"{len(objs)},{args.emit}", "enum", params, "enumeration",
               {"count": len(objs), "emitted": args.emit})
         return 0
@@ -644,7 +648,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # --help/--version (code 0) by raising; keep main() total.
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: exit 1 without a message, and
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # let the exit flush pass
+        return 1
     except _ResourceCap as exc:
         print(f"cubedecomp: resource cap: {exc}; pass --allow-large to override",
               file=sys.stderr)

@@ -17,6 +17,7 @@ from math import gcd as _gcd, lcm as _lcm
 from typing import Dict, List, NamedTuple, Set, Tuple
 
 from . import geometry
+from ._frozen import Frozen
 
 
 class ResidueClass(NamedTuple):
@@ -24,31 +25,13 @@ class ResidueClass(NamedTuple):
     n: int
 
 
-class Necs:
+class Necs(Frozen):
     """A natural exact covering system, classes sorted by (modulus, representative).  Frozen."""
 
     __slots__ = ("classes",)
 
     def __init__(self, classes: Tuple[ResidueClass, ...]):
         object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: (c.n, c.a))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Necs, (self.classes,)
-
-    def __eq__(self, other):
-        return type(other) is Necs and self.classes == other.classes
-
-    def __hash__(self) -> int:
-        return hash((self.classes,))
-
-    def __repr__(self) -> str:
-        return f"Necs(classes={self.classes!r})"
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -37,26 +37,26 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ._frozen import Frozen
+
 Region = Tuple[Tuple[Fraction, Fraction], ...]
 Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
 
 
-class Decomposition:
+class Decomposition(Frozen):
     """Disjoint open boxes tiling (0,1)^d as (d, Ls, grid): Ls = lcm_of(self), grid
     the sorted integer regions (see the module doc).  regions, the same boxes
-    with Fraction endpoints, is built on first read.  Frozen: the form is the hash."""
+    with Fraction endpoints, is built on first read.  Frozen, keyed by the form."""
 
     __slots__ = ("d", "Ls", "grid", "_regions")
+    _key = ("d", "Ls", "grid")
 
     def __new__(cls, d: int, regions: Iterable[Region]):
         pairs = [[tuple((e.numerator, e.denominator) for e in iv) for iv in reg] for reg in regions]
         return _decomposition(d, *_form(d, pairs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return _decomposition, (self.d, self.Ls, self.grid)
+    def __reduce__(self):  # __new__ takes regions, not the form
+        return _decomposition, self._values()
 
     @property
     def regions(self) -> Tuple[Region, ...]:
@@ -68,13 +68,6 @@ class Decomposition:
                 axes.append(zip(map(f.__getitem__, lo), map(f.__getitem__, hi)))
             object.__setattr__(self, "_regions", tuple(zip(*axes)))
         return self._regions
-
-    def __eq__(self, other):  # the form is canonical
-        return type(other) is Decomposition and (self.d, self.Ls, self.grid) == (
-            other.d, other.Ls, other.grid)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.Ls, self.grid))
 
     def __len__(self) -> int:
         return len(self.grid)

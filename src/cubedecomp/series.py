@@ -74,6 +74,7 @@ from math import isqrt, prod
 from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
 
@@ -105,31 +106,13 @@ def _mul_trunc(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
     return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known exactly through x^order, with integer coefficients.  Frozen."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Tuple[int, ...]):
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.coeffs,)
-
-    def __eq__(self, other):
-        return type(other) is TruncatedSeries and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

@@ -1,5 +1,8 @@
 """Command line interface: record schema, formats, exit codes, determinism."""
 
+import ast
+import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -12,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cubedecomp import cli
 from cubedecomp.number_theory import mobius_d
@@ -404,6 +409,37 @@ def test_console_script_round_trip():
     assert "cubedecomp 0.1.0" in proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["seq", "sd", "--d", "2", "--max-n", "300"],
+                                  ["growth", "--d", "1..30"],
+                                  ["mu", "--d", "1", "--n", "1..3"]])
+def test_a_closed_stdout_exits_1_without_a_message(argv):
+    # the read end is closed before the command starts, so the first write fails
+    # whatever the pipe's buffer size; stdout is block-buffered, so a short output
+    # fails only when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cubedecomp.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_broken_pipe_on_the_emit_file_stays_an_error(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: ClosedPipe(), raising=False)
+    code = cli.main(["enum", "decomp", "--d", "1", "--n", "3", "--emit", "fifo"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "cubedecomp: error: cannot write fifo: Broken pipe\n"
+
+
 REFERENCES = json.loads((Path(__file__).resolve().parents[1] / "bench" / "references.json")
                         .read_text(encoding="utf-8"))
 TABLE_COMMANDS = sorted(c for c, ref in REFERENCES.items() if ref["workload"] == "tables-cold")
@@ -567,17 +603,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_result_classes_are_frozen_values():
     from cubedecomp.asymptotics import SaddleResult, find_saddle
     from cubedecomp.covering import Necs, ResidueClass
+    from cubedecomp.geometry import grid_decomposition
     from cubedecomp.series import TruncatedSeries
 
     saddle = find_saddle(2)
     assert list(saddle.to_json_dict()) == ["d", "s", "M_at_s", "M2_at_s", "growth_rate",
                                            "truncation_order", "tail_bound_used"]
     again = SaddleResult(**saddle.to_json_dict())
+    assert again == saddle and list(again.to_json_dict()) == list(saddle.to_json_dict())
     necs = Necs((ResidueClass(1, 2), ResidueClass(0, 2)))
     series = TruncatedSeries((0, 1, -2))
+    dec = grid_decomposition((2, 3))
     cases = [(saddle, again, find_saddle(3), "s"),
              (necs, Necs((ResidueClass(0, 2), ResidueClass(1, 2))), Necs(()), "classes"),
-             (series, TruncatedSeries((0, 1, -2)), TruncatedSeries((0, 1)), "coeffs")]
+             (series, TruncatedSeries((0, 1, -2)), TruncatedSeries((0, 1)), "coeffs"),
+             (dec, grid_decomposition((2, 3)), grid_decomposition((3, 2)), "grid")]
     for obj, same, other, name in cases:
         assert obj == same and hash(obj) == hash(same) and obj != other
         assert obj != (getattr(obj, name),)
@@ -589,3 +629,164 @@ def test_result_classes_are_frozen_values():
     assert necs.classes == (ResidueClass(0, 2), ResidueClass(1, 2))
     assert repr(series) == "TruncatedSeries(coeffs=(0, 1, -2))"
     assert repr(necs) == "Necs(classes=(ResidueClass(a=0, n=2), ResidueClass(a=1, n=2)))"
+    assert repr(SaddleResult(1, 0.25, 1.5, -3.0, 5.5, 64, 1e-20)) == (
+        "SaddleResult(d=1, s=0.25, M_at_s=1.5, M2_at_s=-3.0, growth_rate=5.5, "
+        "truncation_order=64, tail_bound_used=1e-20)")
+    assert repr(grid_decomposition((1, 2))) == (
+        "Decomposition(d=2, regions=(((Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), "
+        "Fraction(1, 2))), ((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 1)))))")
+    # the lazy regions slot is no field: it cannot be set or deleted, and reading it
+    # changes no equality, hash or pickle
+    for name in ("_regions", "regions"):
+        with pytest.raises(AttributeError):
+            setattr(dec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(dec, name)
+    fresh = grid_decomposition((2, 3))
+    assert dec.regions and dec == fresh and fresh == dec and hash(dec) == hash(fresh)
+    assert pickle.dumps(dec) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(dec)).regions == dec.regions
+
+
+def test_frozen_value_code_has_one_home():
+    # the base class owns freezing, equality and hashing; a result class that spelled
+    # them out again would be a fifth copy to keep in step
+    def names(node):  # what a def or an assignment defines
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return {node.name}
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        return {target.id for target in targets if isinstance(target, ast.Name)}
+
+    src = Path(cli.__file__).resolve().parent
+    homes = {path.name
+             for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if names(node) & {"__setattr__", "__delattr__", "__eq__", "__hash__"}}
+    assert homes == {"_frozen.py"}
+    from cubedecomp._frozen import Frozen
+    from cubedecomp.asymptotics import SaddleResult
+    from cubedecomp.covering import Necs
+    from cubedecomp.geometry import Decomposition
+    from cubedecomp.series import TruncatedSeries
+    classes = (Decomposition, TruncatedSeries, Necs, SaddleResult)
+    assert all(issubclass(cls, Frozen) for cls in classes)
+    assert [cls for cls in classes if {"__reduce__", "__repr__"} & set(vars(cls))] == [
+        Decomposition]
+
+
+# ---------------------------------------------------------------- whole-CLI property
+
+_JUNK = st.sampled_from(["", "x", "-", "1.5", "nan", "0x3", "1..", "..2", "1,,2", "٣"])
+
+
+def _mostly(valid, junk=_JUNK):
+    """valid as text, or now and then a malformed value."""
+    return st.tuples(st.integers(0, 7), valid, junk).map(  # 3: not a boundary Hypothesis favours
+        lambda t: t[2] if t[0] == 3 else str(t[1]))
+
+
+def _ints(lo, hi):
+    return _mostly(st.integers(lo, hi))
+
+
+def _range(lo, hi):
+    return _mostly(st.one_of(st.integers(lo, hi), st.tuples(st.integers(lo, hi), st.integers(
+        lo, hi)).map("{0[0]}..{0[1]}".format)))
+
+
+def _vector(lo, hi):
+    return _mostly(st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(str, v))))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["d", "regions", "tree", "classes"]), inner, max_size=3),
+    max_leaves=8)
+_ENDPOINT = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/0", "x", 0, 1, True, 0.5, None])
+_PHI_INPUT = st.one_of(
+    st.sampled_from([  # split generated, not split generated (gcd 1), a 2-d one, overlapping
+        {"d": 1, "regions": [[["0", "1/2"]], [["1/2", "3/4"]], [["3/4", "1"]]]},
+        {"d": 1, "regions": [[["0", "1/6"]], [["1/6", "1/4"]], [["1/4", "1/3"]],
+                             [["1/3", "1/2"]], [["1/2", "3/4"]], [["3/4", "1"]]]},
+        {"d": 1, "regions": [[["0", "2/3"]], [["2/3", "1"]]]},
+        {"d": 2, "regions": [[["0", "1"], ["0", "1/2"]], [["0", "1"], ["1/2", "1"]]]},
+        {"d": 1, "regions": [[["0", "1"]], [["0", "1"]]]},
+        {"d": 1, "regions": [[[0, 1]]]}]),
+    st.fixed_dictionaries({"d": st.one_of(st.integers(-1, 2), _JSON),
+                           "regions": st.lists(st.lists(st.lists(
+                               _ENDPOINT, min_size=2, max_size=2), min_size=1, max_size=2),
+                               min_size=1, max_size=4)}))
+_TREE = st.sampled_from(["L", "(1 L L)", "(2 L L L)", "(1 (1 L L) L)", "(1 (2 L L) (2 L L))",
+                         "(0 L L)", "(3 L L)", "(1 L)", "(1 L L", ")", "", "(x L L)",
+                         ["L"], [1, "L", "L"], [2, [1, "L", "L"], "L"], [True, "L", "L"]])
+_PSI_INPUT = st.fixed_dictionaries({"d": st.one_of(st.integers(1, 3), st.integers(-1, 3), _JSON),
+                                    "tree": st.one_of(_TREE, _JSON)})
+_STDIN = {command: st.one_of(*[inputs.map(json.dumps)] * 3, _JSON.map(json.dumps),
+                             st.text(max_size=12))  # mostly the command's own shape
+          for command, inputs in (("phi", _PHI_INPUT), ("psi", _PSI_INPUT))}
+
+
+ALLOW_LARGE = {"seq", "refined", "enum", "lcm-count"}  # the commands that take --allow-large
+
+
+@st.composite
+def _invocations(draw):
+    """argv of one command with its flags, and stdin.  Sizes stay under the caps
+    (mu --n, which has no cap, stays small), so no run starts a large computation."""
+    command = draw(st.sampled_from(["mu", "seq", "refined", "enum", "phi", "psi", "growth",
+                                    "lcm-count", "verify"]))
+    argv = {
+        "mu": lambda: ["--d", draw(_ints(-1, 4)), "--n", draw(_range(-2, 200))],
+        "seq": lambda: [draw(st.sampled_from(["sd", "ad", "td", "xd"])),
+                        "--d", draw(_ints(-1, 3)), "--max-n", draw(_ints(-2, 30))],
+        "refined": lambda: ["--d", draw(_ints(-1, 3)), "--r", draw(_vector(-1, 3)),
+                            "--max-n", draw(_ints(-2, 12))],
+        "enum": lambda: [draw(st.sampled_from(["decomp", "necs", "trees"])),
+                         "--d", draw(_ints(-1, 2)), "--n", draw(_ints(-1, 5))],
+        "phi": lambda: ["--in", "-"],
+        "psi": lambda: ["--in", "-"],
+        "growth": lambda: ["--d", draw(_range(0, 4)),
+                           "--tol", draw(_mostly(st.sampled_from(["1e-12", "1e-3", "1e-30"]),
+                                                 st.sampled_from(["0", "-1", "nan", "inf"]))),
+                           "--k", draw(_ints(-1, 9))],
+        "lcm-count": lambda: [draw(st.sampled_from(["g", "h"]))] + [
+            a for flag in draw(st.sampled_from([["--r"], ["--n"], ["--r", "--n"], []]))
+            for a in (flag, draw(_vector(-1, 4) if flag == "--r" else _range(-2, 30)))],
+        "verify": lambda: ["--suite", draw(st.sampled_from(["asymptotics", "nope"]))],
+    }[command]()
+    if draw(st.booleans()):
+        argv += ["--format", draw(_mostly(st.sampled_from(["json", "csv"])))]
+    if draw(st.booleans()):
+        argv += ["--threads", draw(_ints(-1, 4))]
+    if draw(st.integers(0, 7)) in ((1, 2, 3) if command in ALLOW_LARGE else (3,)):
+        argv.append("--allow-large")
+    stdin = draw(_STDIN.get(command, st.just("")))
+    return [command, *argv], stdin
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(_invocations())
+@example((["psi", "--in", "-"], '{"d": null, "tree": "L"}'))  # inputs that once broke
+@example((["psi", "--in", "-"], '{"d": 1, "tree": [true, "L", "L"]}'))  # the contract
+@example((["phi", "--in", "-"], '{"regions": [[["0", "1"]]]}'))
+@example((["growth", "--d", "1", "--tol", "nan"], ""))
+def test_generated_command_lines_keep_the_output_contract(invocation):
+    argv, stdin = invocation
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if "csv" not in argv:
+        for line in out.getvalue().splitlines():
+            assert json.loads(line, parse_constant=_no_constant)["schema"] == "cubedecomp.v1"
