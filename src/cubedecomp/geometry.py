@@ -230,7 +230,7 @@ def _cells(grid: Grid, axis: int, r: int) -> Optional[List[Grid]]:
     return [(Ls, tuple(bucket)) for bucket in buckets]
 
 
-def _search(grid: Grid):
+def _search(grid: Grid, found: Optional[dict] = None):
     """Coroutine of one grid's gcd search: yields the cells it needs, is sent their gcds.
 
     Returns the gcd vector, or None unless the grid is split-generated.  One
@@ -251,18 +251,20 @@ def _search(grid: Grid):
                         break
                 else:
                     out[axis] = r
+                    if found is not None and axis == 0:
+                        found[grid] = cells
                     break
     return tuple(out) if max(out) > 1 else None
 
 
-def _gcd(grid: Grid) -> Optional[Tuple[int, ...]]:
+def _gcd(grid: Grid, found: Optional[dict] = None) -> Optional[Tuple[int, ...]]:
     """grid's gcd vector, or None unless it is split-generated.
 
-    A depth-first search on an explicit stack, so deep inputs need no
-    recursion.  Every result goes into the memo.
+    A depth-first search on an explicit stack, so deep inputs need no recursion.
+    Every result goes into the memo, and each searched grid's axis-0 cells into found.
     """
     result = _memo.get(grid, _NEW)
-    stack, result = ([(grid, _search(grid))], None) if result is _NEW else ([], result)
+    stack, result = ([(grid, _search(grid, found))], None) if result is _NEW else ([], result)
     while stack:
         node, search = stack[-1]
         try:
@@ -276,7 +278,7 @@ def _gcd(grid: Grid) -> Optional[Tuple[int, ...]]:
         result = _memo.get(cell, _NEW)
         if result is _NEW:  # a fresh search is sent None
             result = None
-            stack.append((cell, _search(cell)))
+            stack.append((cell, _search(cell, found)))
     return result
 
 

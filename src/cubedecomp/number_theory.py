@@ -10,12 +10,12 @@ function mu.  On n = p_1^m_1 * ... * p_k^m_k it has the closed form
 B = 2^11 (`_BOUND`) off one gcd of n with the product of the primes up to B,
 the smooth-part step of Bernstein ("How to find smooth parts of integers",
 2004).  Trial division runs over the primes of that gcd, and above B only
-while what is left of n exceeds B^2.  A point query allocates nothing that
-outlives the call.  A table (`mobius_d_values`) applies the closed form
-through a prime-power sieve over 1..max_n.  `mobius_d_by_convolution`
-provides the defining route independently; tests check the routes against
-each other.  The module keeps no state between calls: the primes up to B
-and their product are built once, at import, by `_primes`, and never change.
+while what is left of n exceeds B^2.  `mobius_d` reads the exponents in one loop,
+which stops scanning once what is left of the gcd is prime, and builds no
+factorization.  A table (`mobius_d_values`) applies the closed form through a
+prime-power sieve over 1..max_n.  `mobius_d_by_convolution` provides the defining
+route independently; tests check the routes against each other.  No state is kept
+but the primes up to B (a tuple and a set) and their product, built at import.
 
 Sequences are dense integer lists indexed by n with slot 0 unused (kept 0),
 so seq[n] is the value at n for 1 <= n <= len(seq)-1.
@@ -37,6 +37,7 @@ def _primes(n: int) -> Iterator[int]:
 _BOUND = 1 << 11
 _PRIMES = tuple(_primes(_BOUND))  # the 309 primes up to B
 _PRIMORIAL = prod(_PRIMES)  # 2865 bits
+_PRIME_SET = frozenset(_PRIMES)
 
 
 def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
@@ -92,18 +93,32 @@ def mobius(n: int) -> int:
 def mobius_d(d: int, n: int) -> int:
     """d-fold Moebius function mu_d(n) = prod (-1)^m_i C(d, m_i) over n's factorization.
 
-    d = 0 gives the convolution identity delta(n=1).
+    d = 0 gives the convolution identity delta(n=1).  One loop reads the exponents up to B
+    off the gcd; what is left is 1 or one prime (factor -d) up to B^2, scanned only above.
     """
     if d < 0:
         raise ValueError(f"mobius_d requires d >= 0, got {d}")
     if n < 1:
         raise ValueError(f"mobius_d requires n >= 1, got {n}")
-    result = 1
-    for _, m in _prime_powers(n):
+    g, primes, result = gcd(n, _PRIMORIAL), iter(_PRIMES), 1
+    while g > 1:
+        if g in _PRIME_SET:  # one prime of g is left (a g above B has two or more)
+            p = g
+        else:
+            for p in primes:
+                if g % p == 0:
+                    break
+        g //= p
+        n, m = n // p, 1
+        while n % p == 0:
+            n //= p
+            m += 1
         if m > d:
             return 0
-        result *= (-1) ** m * comb(d, m)
-    return result
+        result *= -comb(d, m) if m & 1 else comb(d, m)
+    if n <= _BOUND * _BOUND:
+        return result if n == 1 else -d * result
+    return result * prod(-comb(d, m) if m & 1 else comb(d, m) for _, m in _prime_powers(n))
 
 
 def mobius_d_values(d: int, max_n: int) -> List[int]:

@@ -17,9 +17,11 @@ Schroeder number (1, 1, 3, 11, 45, 197, ...).
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
+from operator import add, mul
 from typing import Iterator, List, Set, Tuple, Union
 
-from .geometry import Decomposition, _decomposition, _form
+from .geometry import Decomposition, _decomposition
 from .series import TruncatedSeries
 
 PlaneTree = Tuple  # () for a leaf, (label, *children) otherwise
@@ -47,15 +49,20 @@ def leaf_count(tree: PlaneTree) -> int:
     return sum(map(is_leaf, _preorder(tree)))
 
 
+def _children(node, d: int):
+    """node[1:], once node is checked: a leaf, or a label in 1..d over >= 2 children."""
+    if len(node):  # not a leaf
+        if type(node[0]) is not int or not 1 <= node[0] <= d:  # bool is an int subclass
+            raise ValueError(f"internal node label {node[0]!r} outside 1..{d}")
+        if len(node) < 3:
+            raise ValueError("internal node must have at least 2 children")
+    return node[1:]
+
+
 def validate_tree(tree: PlaneTree, d: int) -> None:
     """Raise ValueError unless every internal node has a label in 1..d and >= 2 children."""
     for node in _preorder(tree):
-        if not is_leaf(node):
-            label = node[0]
-            if type(label) is not int or not 1 <= label <= d:  # bool is an int subclass
-                raise ValueError(f"internal node label {label!r} outside 1..{d}")
-            if len(node) < 3:
-                raise ValueError("internal node must have at least 2 children")
+        _children(node, d)
 
 
 def _compositions(n: int, r: int) -> Iterator[Tuple[int, ...]]:
@@ -121,25 +128,31 @@ def tree_counts(d: int, max_n: int) -> TruncatedSeries:
 def psi(tree: PlaneTree, d: int) -> Decomposition:
     """Decomposition obtained by splitting along the root label's axis and recursing.
 
-    The root's r children land in the r slabs of the axis split in ascending
-    order of the split coordinate.  An explicit stack holds (node, box), a box
-    being (k, den) per axis for the slab (k/den, (k+1)/den), so no Fraction is
-    made.
+    The root's r children land in the r slabs of the axis split, ascending.  A stack
+    holds (node, box), box = (k_1, den_1, ..., k_d, den_d) for the slabs
+    (k_i/den_i, (k_i+1)/den_i), and checks each node in preorder as validate_tree
+    does.  A leaf's ends on axis i are k_i L_i/den_i, (k_i+1) L_i/den_i, L_i = lcm(den_i).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    validate_tree(tree, d)
-    leaves = []
-    stack = [(tree, ((0, 1),) * d)]
+    leaves, stack = [], [(tree, (0, 1) * d)]
     while stack:
         node, box = stack.pop()
-        if not node:  # a leaf
-            leaves.append([((k, den), (k + 1, den)) for k, den in box])
+        children = _children(node, d)
+        if not children:  # a leaf
+            leaves.append(box)
             continue
-        axis, r = node[0] - 1, len(node) - 1
-        (k, den), head, tail = box[axis], box[:axis], box[axis + 1:]
-        stack += [(c, head + ((k * r + j, den * r),) + tail) for j, c in enumerate(node[1:])]
-    return _decomposition(d, *_form(d, leaves))
+        i, r = 2 * node[0] - 2, len(children)
+        k, den, head, tail = box[i] * r, box[i + 1] * r, box[:i], box[i + 2:]
+        stack += [(children[j], head + (k + j, den) + tail) for j in range(r - 1, -1, -1)]
+    cols = list(zip(*leaves))  # k_1, den_1, ..., k_d, den_d over the leaves
+    Ls = tuple(lcm(*dens) for dens in cols[1::2])
+    ends = []  # lo_1, hi_1, ..., lo_d, hi_d: their gcd divides each L_i/den_i, so it is 1
+    for ks, dens, L in zip(cols[::2], cols[1::2], Ls):
+        widths = [L // den for den in dens]
+        lo = list(map(mul, ks, widths))
+        ends += lo, map(add, lo, widths)
+    return _decomposition(d, Ls, tuple(sorted(zip(*ends))))
 
 
 def format_tree(tree: PlaneTree) -> str:

@@ -1,8 +1,11 @@
 """Natural exact covering systems and the decomposition bijection."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+
+from cubedecomp import geometry
 
 from cubedecomp.covering import (
     Necs,
@@ -131,6 +134,38 @@ def test_phi_is_a_bijection_with_matching_invariants():
             assert necs_gcd(c) == gcd_of(dec)[0]
             assert necs_lcm(c) == lcm_of(dec)[0]
         assert set(image) == systems[n]
+
+
+def unphi(system):
+    """The decomposition of a natural covering system, read off its moduli alone.
+
+    r = the gcd of the moduli; class a mod n of group j = a mod r becomes
+    (a - j)/r mod n/r, and group j fills block (j/r, (j+1)/r).  Integers and
+    math.gcd only: nothing of the gcd search behind phi is used.
+    """
+    intervals = []
+    stack = [([(c.a, c.n) for c in system.classes], F(0), F(1))]
+    while stack:
+        classes, lo, width = stack.pop()
+        if len(classes) == 1:
+            assert classes == [(0, 1)]
+            intervals.append(((lo, lo + width),))
+            continue
+        r = gcd(*(n for _, n in classes))
+        assert r >= 2, classes
+        for j in range(r):
+            group = [((a - j) // r, n // r) for a, n in classes if a % r == j]
+            stack.append((group, lo + j * width / r, width / r))
+    return Decomposition(1, intervals)
+
+
+def test_unphi_inverts_phi_on_every_small_interval_decomposition():
+    decs = [dec for level in enumerate_decompositions_up_to(1, 8).values() for dec in level]
+    assert len(decs) == 3986
+    geometry._memo.clear()  # the first pass searches, the second reads the memo
+    for _ in range(2):
+        for dec in decs:
+            assert unphi(phi(dec)) == dec, dec
 
 
 def test_json_round_trip():

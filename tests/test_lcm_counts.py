@@ -1,6 +1,7 @@
 """Counts of decompositions and covering systems grouped by lcm."""
 
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -71,6 +72,20 @@ def test_h_matches_lcm_grouped_enumeration_in_one_dimension():
             by_lcm[l] = by_lcm.get(l, 0) + 1
     for l in range(1, cap + 1):
         assert by_lcm.get(l, 0) == h_count((l,)), l
+
+
+@pytest.mark.parametrize("d,cap,vectors", [(2, 6, 14), (3, 5, 16)])
+def test_h_matches_lcm_grouped_enumeration_in_two_and_three_dimensions(d, cap, vectors):
+    # A decomposition with lcm exactly r has at most prod(r) regions, so the
+    # level-capped enumeration holds every one with prod(r) <= cap.
+    by_lcm = {}
+    for decs in enumerate_decompositions_up_to(d, cap).values():
+        for dec in decs:
+            by_lcm[lcm_of(dec)] = by_lcm.get(lcm_of(dec), 0) + 1
+    rs = [r for r in product(range(1, cap + 1), repeat=d) if prod(r) <= cap]
+    assert len(rs) == vectors
+    for r in rs:
+        assert by_lcm.get(r, 0) == h_count(r), r
 
 
 def test_h_matches_lcm_grouped_necs_enumeration():

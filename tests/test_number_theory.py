@@ -165,6 +165,11 @@ def trial_division(n):
     return tuple(out)
 
 
+def closed_form(d, pairs):
+    """mu_d from a factorization: prod (-1)^m C(d, m) over its (p, m)."""
+    return prod((-1) ** m * comb(d, m) for _, m in pairs)
+
+
 def is_prime(n):
     return trial_division(n) == ((n, 1),)
 
@@ -196,6 +201,20 @@ def test_factorize_semiprimes_near_10_to_the_12():
     assert factorize(2 * 3**2 * 999983 * 1000003) == ((2, 1), (3, 2), (999983, 1), (1000003, 1))
     assert factorize(999983) == ((999983, 1),)
     assert mobius_d(2, 999983 * 1000003) == 4 and mobius_d(1, 1000003**2) == 0
+    # above B^2 mobius_d runs the candidate scan on what the gcd leaves over
+    known = {999983 * 1000003: ((999983, 1), (1000003, 1)),
+             999979 * 999983: ((999979, 1), (999983, 1)),
+             1000003**2: ((1000003, 2),),
+             2 * 3**2 * 999983 * 1000003: ((2, 1), (3, 2), (999983, 1), (1000003, 1)),
+             2**40 * 1000003: ((2, 40), (1000003, 1)),
+             7**3 * 999983 * 1000003: ((7, 3), (999983, 1), (1000003, 1)),
+             2053**2: ((2053, 2),),  # the smallest cofactors above B^2 that are not prime
+             2053 * 2063: ((2053, 1), (2063, 1)),
+             3 * 2053 * 2063: ((3, 1), (2053, 1), (2063, 1))}
+    for n, pairs in known.items():
+        assert n > B * B
+        for d in range(5):
+            assert mobius_d(d, n) == closed_form(d, pairs), (d, n)
 
 
 @pytest.mark.parametrize("centre", [B, B * B])
@@ -208,3 +227,25 @@ def test_factorize_matches_trial_division_around_the_bound(centre):
 def test_point_query_matches_the_table(d):
     table = mobius_d_values(d, 5000)
     assert [mobius_d(d, n) for n in range(1, 5001)] == table[1:]
+
+
+@pytest.mark.parametrize("lo,hi", [(1400000, 1402000), (B * B - 2000, B * B + 2000)])
+def test_mobius_d_matches_the_closed_form_over_trial_division(lo, hi):
+    # the band of the benchmark's point queries, and both sides of B^2, where the
+    # cofactor left by the gcd stops being read as one prime
+    for n in range(lo, hi + 1):
+        pairs = trial_division(n)
+        for d in range(5):
+            assert mobius_d(d, n) == closed_form(d, pairs), (d, n)
+
+
+def test_mobius_d_builds_no_factorization_up_to_b_squared(monkeypatch):
+    ns = [*range(1, 3000), *range(1400000, 1400200), *range(B * B - 200, B * B + 1),
+          2**21, 3**13, 2039**2, 2029 * 2039, 2 * 3 * 5 * 7 * 11 * 13 * 17]
+    expected = {(d, n): closed_form(d, factorize(n)) for d in range(5) for n in ns}
+
+    def refuse(n):
+        raise AssertionError(f"mobius_d factorized {n}")
+    monkeypatch.setattr(number_theory, "factorize", refuse)
+    monkeypatch.setattr(number_theory, "_prime_powers", refuse)
+    assert {(d, n): mobius_d(d, n) for d, n in expected} == expected

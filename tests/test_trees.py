@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubedecomp.geometry import (
+    Decomposition,
     enumerate_decompositions,
     gcd_of,
     grid_decomposition,
@@ -167,6 +168,68 @@ def test_psi_matches_split_rebuild():
     for n in range(1, 7):
         for tree in enumerate_trees(2, n):
             assert psi(tree, 2) == split_rebuild(tree, 2), format_tree(tree)
+
+
+def fraction_boxes(tree, d):
+    """The tree's leaf boxes with Fraction endpoints, by plain recursion."""
+    def place(node, box):
+        if is_leaf(node):
+            return [tuple(box)]
+        axis, children = node[0] - 1, node[1:]
+        lo, hi = box[axis]
+        step = (hi - lo) / len(children)
+        out = []
+        for j, child in enumerate(children):
+            slab = list(box)
+            slab[axis] = (lo + j * step, lo + (j + 1) * step)
+            out += place(child, slab)
+        return out
+    return place(tree, [(F(0), F(1))] * d)
+
+
+@pytest.mark.parametrize("d,max_n", [(1, 6), (2, 6), (3, 5)])
+def test_psi_matches_fraction_boxes_on_every_small_tree(d, max_n):
+    for n in range(1, max_n + 1):
+        for tree in enumerate_trees(d, n):
+            dec = psi(tree, d)
+            assert dec == Decomposition(d, fraction_boxes(tree, d)), format_tree(tree)
+            assert len(dec) == n
+
+
+# (tree, d, exception type, message), each taken from the version of psi that
+# validated the whole tree before its walk; the first bad node in preorder names it
+BAD_TREES = [
+    ((1, LEAF, (3, LEAF, LEAF), (0, LEAF)), 2, ValueError, "internal node label 3 outside 1..2"),
+    ((1, (2, LEAF), (5, LEAF, LEAF)), 2, ValueError,
+     "internal node must have at least 2 children"),
+    ((1, (1, LEAF, LEAF), (2, LEAF), (3, LEAF, LEAF)), 2, ValueError,
+     "internal node must have at least 2 children"),
+    ((1, LEAF, [2, LEAF, LEAF], (1, LEAF)), 2, ValueError,
+     "internal node must have at least 2 children"),
+    ((1, LEAF, (1, LEAF, LEAF), (1, (2, LEAF, LEAF), LEAF), (0, LEAF, LEAF)), 1, ValueError,
+     "internal node label 2 outside 1..1"),
+    ((1, LEAF, (1.0, LEAF, LEAF)), 1, ValueError, "internal node label 1.0 outside 1..1"),
+    ((1, LEAF, (True, LEAF, LEAF)), 2, ValueError, "internal node label True outside 1..2"),
+    ((1, LEAF, "L"), 1, ValueError, "internal node label 'L' outside 1..1"),
+    ("L", 1, ValueError, "internal node label 'L' outside 1..1"),
+    ((1, LEAF, 5), 1, TypeError, "object of type 'int' has no len()"),
+    ((1, None, LEAF), 1, TypeError, "object of type 'NoneType' has no len()"),
+    ((1, LEAF, set()), 1, TypeError, "'set' object is not subscriptable"),
+    (5, 1, TypeError, "object of type 'int' has no len()"),
+]
+
+
+@pytest.mark.parametrize("tree,d,exc,message", BAD_TREES)
+def test_psi_and_validate_tree_raise_at_the_first_bad_node(tree, d, exc, message):
+    for f in (psi, validate_tree):
+        with pytest.raises(exc) as info:
+            f(tree, d)
+        assert type(info.value) is exc and str(info.value) == message
+
+
+def test_psi_takes_list_nodes():
+    assert psi([1, LEAF, LEAF], 1) == grid_decomposition((2,))
+    assert psi((2, [1, LEAF, LEAF], LEAF), 2) == psi((2, (1, LEAF, LEAF), LEAF), 2)
 
 
 def test_deep_trees_need_no_recursion():
