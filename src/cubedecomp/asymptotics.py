@@ -148,7 +148,7 @@ def saddle_bracket(d: int) -> Tuple[float, float]:
 
 
 def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleResult:
-    """Bisect M_d' to its root with tail-certified signs at every step."""
+    """Bisect M_d' to its root with tail-certified signs at every step, or raise ValueError."""
     if not 0 < tol < math.inf:  # also rejects NaN, which would pass every tail check
         raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = saddle_bracket(d)
@@ -168,13 +168,12 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
     while f_lo - tail <= 0:
         lo /= 2
         if lo < 1e-6:
-            raise RuntimeError(f"no certified positive left endpoint for d={d}")
+            raise ValueError(f"no certified positive left endpoint for d={d}")
         f_lo, tail = signed(lo)
     f_hi, tail = signed(hi)
     if f_hi + tail >= 0:
-        raise RuntimeError(
-            f"right endpoint {hi} not certified negative for d={d}: "
-            f"M'={f_hi} tail={tail}")
+        raise ValueError(f"right endpoint {hi} not certified negative for d={d}: "
+                         f"M'={f_hi} tail={tail}")
 
     while True:
         mid = 0.5 * (lo + hi)
@@ -194,7 +193,7 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
     m_value, m_tail = eval_M(d, s, k)
     m2_value, m2_tail = eval_M_second(d, s, k)
     if not m2_value < 0:
-        raise RuntimeError(f"second derivative {m2_value} not negative at s={s}")
+        raise ValueError(f"second derivative {m2_value} not negative at s={s}")
     return SaddleResult(
         d=d,
         s=s,

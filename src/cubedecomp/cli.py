@@ -54,7 +54,7 @@ from .geometry import (
     lcm_of,
 )
 from .lcm_counts import g_count, h_count
-from .number_theory import mobius_d, mobius_d_by_convolution, mobius_d_values
+from .number_theory import _mobius_d_segment, mobius_d, mobius_d_by_convolution, mobius_d_values
 from .prime_sequences import (
     enumerate_A,
     enumerate_A_tilde,
@@ -79,6 +79,9 @@ LCM_PRODUCT_CAP = 10_000
 # 2-core x86-64 VM (sd 600: 7.1 s, ad 6000: 8.3 s, refined 600: 7.6 s).  td
 # runs in under 1 s to 5000.
 MAX_N_CAPS = {"sd": 600, "ad": 6000, "td": 5000, "refined": 600}
+# mu --n A..B sieves B - A + 1 values by the primes up to isqrt(B); at either cap a fresh
+# process takes under 1 s on that VM (1..10^6 at d = 3: 0.9 s, 10^14..10^14+2000: 0.55 s).
+MU_CAPS = {"width": 1_000_000, "root": 10_000_000}
 
 
 class _ResourceCap(Exception):
@@ -195,19 +198,12 @@ def _load_json_input(path: str) -> dict:
 
 def _cmd_mu(args) -> int:
     lo, hi = args.n
-    if lo < 1:
-        raise ValueError(f"mu is defined for n >= 1, got {lo}")
-    params = {"d": args.d, "n": f"{lo}..{hi}"}
-    # The table costs O(hi) however narrow the range.  A point query costs one gcd,
-    # plus trial division above 2^11 while the cofactor exceeds 2^22, so up to
-    # O(sqrt(n)).  The switch was measured before the gcd step, when the table won
-    # once the range held 16-64 isqrt(hi) values; one segmented sieve is to replace it.
-    if hi - lo + 1 >= 32 * math.isqrt(hi):
-        table = mobius_d_values(args.d, hi)
-        pairs = ((n, table[n]) for n in range(lo, hi + 1))
-    else:
-        pairs = ((n, mobius_d(args.d, n)) for n in range(lo, hi + 1))
-    _print_values("mu", params, "recursion", args.format, pairs)
+    width, root = hi - lo + 1, math.isqrt(max(hi, 0))
+    if (width > MU_CAPS["width"] or root > MU_CAPS["root"]) and not args.allow_large:
+        raise _ResourceCap(f"--n {lo}..{hi} holds {width} values sieved by the primes up to "
+                           f"{root}, over the caps {MU_CAPS['width']} and {MU_CAPS['root']}")
+    _print_values("mu", {"d": args.d, "n": f"{lo}..{hi}"}, "recursion", args.format,
+                  zip(range(lo, hi + 1), _mobius_d_segment(args.d, lo, hi)))
     return 0
 
 
@@ -577,6 +573,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mu", parents=[common], help="signed splitting weights mu_d(n)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=_parse_range, required=True, metavar="A..B")
+    p.add_argument("--allow-large", action="store_true",
+                   help=f"lift the caps of {MU_CAPS['width']} values and of "
+                        f"primes up to {MU_CAPS['root']} (B up to about 10^14)")
     p.set_defaults(func=_cmd_mu)
 
     p = sub.add_parser("seq", parents=[common], help="coefficient tables s_d, a_d, t_d")

@@ -12,10 +12,10 @@ the smooth-part step of Bernstein ("How to find smooth parts of integers",
 2004).  Trial division runs over the primes of that gcd, and above B only
 while what is left of n exceeds B^2.  `mobius_d` reads the exponents in one loop,
 which stops scanning once what is left of the gcd is prime, and builds no
-factorization.  A table (`mobius_d_values`) applies the closed form through a
-prime-power sieve over 1..max_n.  `mobius_d_by_convolution` provides the defining
-route independently; tests check the routes against each other.  No state is kept
-but the primes up to B (a tuple and a set) and their product, built at import.
+factorization.  A range [lo, hi] applies the closed form through one prime-power
+sieve segmented over [lo, hi] (Bays & Hudson, BIT 17, 1977); the table
+`mobius_d_values` is [1, max_n].  `mobius_d_by_convolution` is the independent
+defining route.  No state is kept but the primes up to B and their product.
 
 Sequences are dense integer lists indexed by n with slot 0 unused (kept 0),
 so seq[n] is the value at n for 1 <= n <= len(seq)-1.
@@ -121,27 +121,39 @@ def mobius_d(d: int, n: int) -> int:
     return result * prod(-comb(d, m) if m & 1 else comb(d, m) for _, m in _prime_powers(n))
 
 
-def mobius_d_values(d: int, max_n: int) -> List[int]:
-    """[0, mu_d(1), ..., mu_d(max_n)] as a dense list (slot 0 unused).
+def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
+    """mu_d(lo), ..., mu_d(hi) by one prime-power sieve segmented over [lo, hi].
 
-    A multiplicative prime-power sieve: for each prime p and m = 1, 2, ...,
-    every multiple of p^m swaps its factor mu_d(p^(m-1)) for
-    mu_d(p^m) = (-1)^m C(d, m).  The swap is an exact division because the
-    old factor is nonzero for m <= d, and the loop stops at m = d + 1, where
-    the factor becomes 0 for good.
+    Blocks of max(2^13, isqrt(hi)) values go one at a time: each multiple of p^m swaps
+    its factor mu_d(p^(m-1)) for mu_d(p^m) = (-1)^m C(d, m) (exact while m <= d, and 0
+    from m = d + 1) and its found part takes a p.  An n whose found part falls short of n
+    has one prime factor above the block's square root: factor -d.
     """
+    if lo < 1:
+        raise ValueError(f"mu is defined for n >= 1, got {lo}")
     if d < 0:
-        raise ValueError(f"mobius_d_values requires d >= 0, got {d}")
-    values = [0] + [1] * max_n
-    for p in _primes(max_n):
-        q, prev = p, 1
-        for m in range(1, d + 2):
-            if q > max_n:
-                break
-            w = (-1) ** m * comb(d, m)
-            values[q::q] = [v // prev * w for v in values[q::q]]
-            q, prev = q * p, w
-    return values
+        raise ValueError(f"mu_d requires d >= 0, got {d}")
+    size = max(isqrt(max(hi, 0)), 1 << 13)
+    for start in range(lo, hi + 1, size):
+        width = min(size, hi - start + 1)
+        values, found = [1] * width, [1] * width
+        for p in _primes(isqrt(start + width - 1)):
+            q, prev = p, 1
+            for m in range(1, d + 2):
+                s = -start % q  # the offset of the first multiple of p^m in the block
+                if s >= width:
+                    break
+                w = -comb(d, m) if m & 1 else comb(d, m)
+                values[s::q] = [v // prev * w for v in values[s::q]]
+                found[s::q] = [f * p for f in found[s::q]]
+                q, prev = q * p, w
+        yield from [v if f == n else -d * v
+                    for v, f, n in zip(values, found, range(start, start + width))]
+
+
+def mobius_d_values(d: int, max_n: int) -> List[int]:
+    """[0, mu_d(1), ..., mu_d(max_n)] as a dense list (slot 0 unused): the segment [1, max_n]."""
+    return [0, *_mobius_d_segment(d, 1, max_n)]
 
 
 def dirichlet_convolve(a: List[int], b: List[int]) -> List[int]:

@@ -49,7 +49,7 @@ def test_mu_csv_golden(capsys):
     assert out == "1,-3,-3,3,-3,9,-3,-1\n"
 
 
-def test_mu_json_records(capsys):
+def test_mu_json_records(capsys, monkeypatch):
     code, out = run(capsys, "mu", "--d", "3", "--n", "1..3")
     assert code == 0
     recs = records(out)
@@ -66,13 +66,23 @@ def test_mu_json_records(capsys):
     assert out.splitlines()[0] == json.dumps(
         recs[0], sort_keys=True, separators=(",", ":")
     )
-    # a dense range is read from the table, a sparse high one by point queries
+    # a dense range and a sparse high one are both read off one segmented sieve;
+    # neither takes a point query or a table over 1..hi
+    def refuse(*args):
+        raise AssertionError(f"mu took a second path {args}")
+
+    sieve, segments = cli._mobius_d_segment, []
+    monkeypatch.setattr(cli, "_mobius_d_segment",
+                        lambda d, lo, hi: segments.append((lo, hi)) or sieve(d, lo, hi))
+    monkeypatch.setattr(cli, "mobius_d", refuse)
+    monkeypatch.setattr(cli, "mobius_d_values", refuse)
     for lo, hi in ((1, 2000), (20000000, 20000020)):
         code, out = run(capsys, "mu", "--d", "3", "--n", f"{lo}..{hi}")
         assert code == 0
         assert [r["result"] for r in records(out)] == [
             {"n": n, "value": str(mobius_d(3, n))} for n in range(lo, hi + 1)
         ]
+    assert segments == [(1, 2000), (20000000, 20000020)]
 
 
 def test_seq_tables(capsys):
@@ -284,6 +294,20 @@ def test_growth_rejects_tol_that_bisection_cannot_reach(capsys):
 def test_growth_rejects_k_beyond_the_limit(capsys, k):
     # the table holds 2^k - 1 terms: k = 40 ran out of memory, k = 70 overflowed
     one_line_error(capsys, ["growth", "--d", "1", "--k", k])
+
+
+@pytest.mark.parametrize("d", ["95062", "95062..95062", str(10**21)])
+def test_growth_past_what_binary64_certifies_exits_one(capsys, d):
+    # from d = 95062 up M_d' at the bracket's right end rounds to a value that
+    # certifies no sign
+    one_line_error(capsys, ["growth", "--d", d])
+
+
+def test_growth_at_the_last_certified_d_keeps_its_bytes(capsys):
+    code, out = run(capsys, "growth", "--d", "95061")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b302d4e4cc71c7e65d74f871254cd9127afb8c76e22906f0db99835951772845")
 
 
 def test_psi_rejects_boolean_label(capsys, monkeypatch):
@@ -502,6 +526,63 @@ def test_large_series_bytes_are_pinned(capsys, command):
     assert cli.main(shlex.split(command)) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == LARGE_SERIES_SHA256[command]
+
+
+# Full stdout digests of mu ranges as a table over 1..B (the first) and per-value
+# point queries (the rest) printed them; 4194304 = 2^22 is where the point query
+# started to scan for a cofactor's factors.
+MU_RANGE_SHA256 = {
+    "mu --d 2 --n 1000000..1040000":
+        "618757d4a6958fb7fb0ed1f102493a98660a51c8b04d1222be08750630a6e887",
+    "mu --d 3 --n 20000000..20000500":
+        "015b2d66e04059a51ac754a692e6c49dd9dc99b0263cace348444ab59c30d030",
+    "mu --d 1 --n 4190000..4200000 --format csv":
+        "78bb0142a290bebeb4cb6d7e8591bf2cf8058d12f2490cc098e22baf8b75051d",
+    "mu --d 2 --n 1000000000000..1000000000200":
+        "905e6cc235d8916183726ee87a499421e3b3906376016b352dd7c4be9045415d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MU_RANGE_SHA256))
+def test_mu_range_bytes_are_pinned(capsys, command):
+    assert cli.main(shlex.split(command)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == MU_RANGE_SHA256[command]
+
+
+# --n past mu's width cap, past its root cap, and the same ranges at the caps
+WIDTH, ROOT = cli.MU_CAPS["width"], cli.MU_CAPS["root"]
+MU_PAST_CAPS = [(f"7..{7 + WIDTH}", WIDTH + 1, 1000), (str((ROOT + 1) ** 2), 1, ROOT + 1)]
+MU_AT_CAPS = [f"7..{6 + WIDTH}", str((ROOT + 1) ** 2 - 1)]
+
+
+@pytest.mark.parametrize("n, width, root", MU_PAST_CAPS)
+def test_mu_caps_exit_three_before_sieving(capsys, monkeypatch, n, width, root):
+    def refuse(*args):
+        raise AssertionError("the sieve ran past the cap")
+
+    monkeypatch.setattr(cli, "_mobius_d_segment", refuse)
+    code = cli.main(["mu", "--d", "2", "--n", n])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (f"cubedecomp: resource cap: --n {n if '..' in n else f'{n}..{n}'} "
+                            f"holds {width} values sieved by the primes up to {root}, "
+                            f"over the caps {WIDTH} and {ROOT}; pass --allow-large to override\n")
+
+
+def test_allow_large_passes_the_mu_caps(capsys, monkeypatch):
+    calls = []
+
+    def zeros(d, lo, hi):  # stands in for the large sieve
+        calls.append(hi - lo + 1)
+        return [0] * (hi - lo + 1)
+
+    monkeypatch.setattr(cli, "_mobius_d_segment", zeros)
+    argvs = [[n] for n in MU_AT_CAPS] + [[n, "--allow-large"] for n, _, _ in MU_PAST_CAPS]
+    for extra in argvs:
+        code, out = run(capsys, "mu", "--d", "2", "--format", "csv", "--n", *extra)
+        assert code == 0 and set(out.strip().split(",")) == {"0"}
+    assert calls == [WIDTH, 1, WIDTH + 1, 1]
 
 
 # (argv without --max-n, cap kind, the function the command computes with)
@@ -728,17 +809,28 @@ _STDIN = {command: st.one_of(*[inputs.map(json.dumps)] * 3, _JSON.map(json.dumps
           for command, inputs in (("phi", _PHI_INPUT), ("psi", _PSI_INPUT))}
 
 
-ALLOW_LARGE = {"seq", "refined", "enum", "lcm-count"}  # the commands that take --allow-large
+ALLOW_LARGE = {  # the commands that take --allow-large
+    name for action in cli.build_parser()._subparsers._group_actions
+    for name, sub in action.choices.items() if "--allow-large" in sub._option_string_actions}
+# mu --n: small, or sparse and high (lo up to 10^9, at most 50 values), or past a cap
+_MU_N = st.one_of(_range(-2, 200), _mostly(st.tuples(st.integers(1, 10**9), st.integers(
+    0, 49)).map(lambda t: f"{t[0]}..{t[0] + t[1]}")))
+_MU_N_PAST_CAP = st.one_of(
+    st.integers(-2, 10**9).map(lambda lo: f"{lo}..{lo + cli.MU_CAPS['width']}"),
+    st.integers(0, 10**30).map(lambda k: str((cli.MU_CAPS["root"] + 1) ** 2 + k)))
 
 
 @st.composite
 def _invocations(draw):
     """argv of one command with its flags, and stdin.  Sizes stay under the caps
-    (mu --n, which has no cap, stays small), so no run starts a large computation."""
+    unless the cap stands (mu --n past one, without --allow-large), so no run
+    starts a large computation."""
     command = draw(st.sampled_from(["mu", "seq", "refined", "enum", "phi", "psi", "growth",
                                     "lcm-count", "verify"]))
+    past_cap = command == "mu" and draw(st.integers(0, 5)) == 0
     argv = {
-        "mu": lambda: ["--d", draw(_ints(-1, 4)), "--n", draw(_range(-2, 200))],
+        "mu": lambda: ["--d", draw(_ints(-1, 4)),
+                       "--n", draw(_MU_N_PAST_CAP if past_cap else _MU_N)],
         "seq": lambda: [draw(st.sampled_from(["sd", "ad", "td", "xd"])),
                         "--d", draw(_ints(-1, 3)), "--max-n", draw(_ints(-2, 30))],
         "refined": lambda: ["--d", draw(_ints(-1, 3)), "--r", draw(_vector(-1, 3)),
@@ -760,7 +852,8 @@ def _invocations(draw):
         argv += ["--format", draw(_mostly(st.sampled_from(["json", "csv"])))]
     if draw(st.booleans()):
         argv += ["--threads", draw(_ints(-1, 4))]
-    if draw(st.integers(0, 7)) in ((1, 2, 3) if command in ALLOW_LARGE else (3,)):
+    if not past_cap and draw(st.integers(0, 7)) in ((1, 2, 3) if command in ALLOW_LARGE
+                                                    else (3,)):
         argv.append("--allow-large")
     stdin = draw(_STDIN.get(command, st.just("")))
     return [command, *argv], stdin
@@ -775,6 +868,8 @@ def _no_constant(name):
 @example((["psi", "--in", "-"], '{"d": 1, "tree": [true, "L", "L"]}'))  # the contract
 @example((["phi", "--in", "-"], '{"regions": [[["0", "1"]]]}'))
 @example((["growth", "--d", "1", "--tol", "nan"], ""))
+@example((["growth", "--d", "95062"], ""))
+@example((["growth", "--d", str(10**21)], ""))
 def test_generated_command_lines_keep_the_output_contract(invocation):
     argv, stdin = invocation
     out, err = io.StringIO(), io.StringIO()

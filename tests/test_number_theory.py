@@ -249,3 +249,32 @@ def test_mobius_d_builds_no_factorization_up_to_b_squared(monkeypatch):
     monkeypatch.setattr(number_theory, "factorize", refuse)
     monkeypatch.setattr(number_theory, "_prime_powers", refuse)
     assert {(d, n): mobius_d(d, n) for d, n in expected} == expected
+
+
+# mu_d over [lo, hi] is one prime-power sieve in blocks of max(2^13, isqrt(hi))
+# values; the table over 1..max_n is its segment [1, max_n].  The segment near 10^7
+# spans three blocks.
+SEGMENTS = [(1, 1), (2, 2), (97, 97), (B * B, B * B), (10**12 + 39, 10**12 + 39),
+            (B * B - 3000, B * B + 3000), (10**7 - 9000, 10**7 + 9000), (10**12, 10**12 + 300)]
+
+
+@pytest.mark.parametrize("lo,hi", SEGMENTS)
+def test_segment_matches_the_point_query(lo, hi):
+    for d in range(5):
+        assert list(number_theory._mobius_d_segment(d, lo, hi)) == [
+            mobius_d(d, n) for n in range(lo, hi + 1)], (d, lo, hi)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+def test_table_on_both_sides_of_a_prime_square(d):
+    # at max_n = p^2 - 1 the prime p is left to the found-part test, at p^2 it is sieved
+    for max_n in (3, 4, 5, 24, 25, 48, 49, 50, 2208, 2209, 2210):
+        assert mobius_d_values(d, max_n) == [0] + [mobius_d(d, n) for n in range(1, max_n + 1)]
+    assert mobius_d_values(d, 0) == mobius_d_values(d, -3) == [0]
+
+
+def test_segment_validates_its_arguments():
+    with pytest.raises(ValueError, match="d >= 0"):
+        list(number_theory._mobius_d_segment(-1, 5, 9))
+    with pytest.raises(ValueError, match="n >= 1"):
+        list(number_theory._mobius_d_segment(-1, 0, 9))
