@@ -215,6 +215,8 @@ def log_asymptotic_estimate(d: int, n: int, saddle: SaddleResult | None = None) 
         raise ValueError(f"n must be >= 1, got {n}")
     if saddle is None:
         saddle = find_saddle(d)
+    elif saddle.d != d:
+        raise ValueError(f"saddle is for d={saddle.d}, not d={d}")
     return (-1.5 * math.log(n)
             + (0.5 - n) * math.log(saddle.M_at_s)
             - 0.5 * math.log(-2 * math.pi * saddle.M2_at_s))

@@ -121,6 +121,8 @@ def signed_sum(d: int, n: int) -> int:
     groups sequences, so this stays an enumeration, the independent side
     of the check against `auxiliary_counts`.
     """
+    if n < 0:
+        raise ValueError(f"weight must be >= 0, got {n}")
     if n == 0:
         return 1
     signs = [[set_sign(s) for s in enumerate_B(d, w)] for w in range(n + 1)]

@@ -52,21 +52,13 @@ orphans some sequences); a_d(n) >= 1, nondecreasing in n, was checked for
 d <= 30 and n <= 1000.  With no sign, a chain needs no bias: a link packs
 both operands at one slot width, multiplies, and masks off the low order + 1
 slots, since carries only move up; the product stays packed for the next link.
-  * Baby width, one for the chain.  phi >= 0 and phi_0 = 1 give
-    phi^j <= phi^J coefficientwise for j <= J, and for t in (0, 1],
-    [z^k] phi^J <= phi(t)^J / t^k <= phi(t)^J / t^order.  For a geometric
-    phi ~ 1/(1 - z/r) the bound is least where phi_i t^i has mean index
-    mu = order/J, at t = r*mu/(mu+1); `_chain_bytes` reads r off phi's last
-    two coefficients, rounds t to m/2^10 and takes the bound exactly in
-    integers, one Horner pass.  With J = B it is within a byte of the largest
-    coefficient of phi^B for d = 1..4 and N up to 300.
-  * Giant widths, one per link.  The giant powers' coefficient bits grow by
-    half along the chain at N = 140, so one width would pack the early links
-    too wide.  For a, b >= 0 with a_0 = b_0 = 1 and b* the prefix maxima of b,
-    every coefficient through z^order of a, of b and of a*b is at most
-    D = sum_i a_i b*_(order-i), one dot product per link.  While phi is
-    nondecreasing, so are its powers and their products, and D is the top
-    coefficient itself.
+  * Widths, one per link.  For a, b >= 0 with a_0 = b_0 = 1 and b* the
+    prefix maxima of b, every coefficient through z^order of a, of b and of
+    a*b is at most D = sum_i a_i b*_(order-i), one dot product per link; the
+    link packs at the fewest bytes that hold D.  The powers' coefficient bits
+    grow by half along the giant chain at N = 140, so one width would pack the
+    early links too wide.  While phi is nondecreasing, so are its powers and
+    their products, and D is the top coefficient itself.
 """
 
 from itertools import accumulate
@@ -187,41 +179,21 @@ def _pack(s: Sequence[int], nb: int) -> int:
     return int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in s]), "little")
 
 
-def _chain_bytes(phi: List[int], power: int) -> int:
-    """Slot bytes that hold every coefficient of phi^j, j <= power, through z^order.
+def _power_chain(fixed: List[int], links: int, order: int) -> Iterator[Tuple[List[int], int]]:
+    """(fixed^l through z^order, its slot bytes) for l = 2..links + 1.
 
-    order = len(phi) - 1 >= 1.  The bound phi(t)^power / t^order at one
-    t = m/2^10 in (0, 1] (module docstring), taken exactly: h is
-    phi(t) * 2^(10*order) by Horner's rule.
-    """
-    order = len(phi) - 1
-    mean = order / power
-    t = phi[order - 1] / phi[order] * mean / (mean + 1) if phi[order] else 1.0
-    m = min(max(round(t * 1024), 1), 1024)
-    h = 0
-    for shift, c in enumerate(reversed(phi)):
-        h = h * m + (c << 10 * shift)
-    bound = h ** power // (m ** order << 10 * order * (power - 1))
-    return (bound.bit_length() + 7) >> 3
-
-
-def _power_chain(first: List[int], fixed: List[int], links: int, order: int,
-                 nb: int = 0) -> Iterator[Tuple[List[int], int]]:
-    """(first*fixed^l through z^order, its slot bytes) for l = 1..links.
-
-    first and fixed are >= 0 with constant term 1 and order + 1 coefficients.
-    The running product stays packed between links, so a link is one
-    multiplication, one mask and the unpacking of its result.  Every link
-    uses nb bytes per slot; with nb = 0 each link takes the bytes of its own
-    bound D (module docstring), and both operands are packed again when that
-    changes.
+    fixed is >= 0 with constant term 1 and order + 1 coefficients.  The
+    running power stays packed between links, so a link is one
+    multiplication, one mask and the unpacking of its result.  Each link
+    takes the bytes of its own bound D (module docstring), and both operands
+    are packed again when that changes.
     """
     slots = order + 1
-    fixed_max = None if nb else list(accumulate(fixed, max))[::-1]
+    fixed_max = list(accumulate(fixed, max))[::-1]
     from_bytes = int.from_bytes
-    x, packed_nb = first, 0
+    x, packed_nb = fixed, 0
     for _ in range(links):
-        width = nb or (sum(map(int.__mul__, x, fixed_max)).bit_length() + 7) >> 3
+        width = (sum(map(int.__mul__, x, fixed_max)).bit_length() + 7) >> 3
         if width != packed_nb:
             packed_nb, mask = width, (1 << 8 * width * slots) - 1
             pf = _pack(fixed, width)
@@ -240,22 +212,19 @@ def _lagrange(phi: List[int], max_n: int, weight: Optional[List[int]] = None) ->
     with phi_0 = 1 and every phi_k >= 0 (ArithmeticError otherwise).  Writing
     n = i*B + j with 0 <= j < B and B = isqrt(max_n - 1) + 1, c_n is the dot
     product of phi^(iB) and weight*phi^j up to z^(n-1).  The baby powers
-    phi^2..phi^B are one packed chain of products by phi, at one slot width
-    bounded through phi(t); the giant powers phi^(2B), phi^(3B), ... are one
-    of products by phi^B, each link at the width of its own bound
-    (`_power_chain`).  Each power is unpacked once, for the dot products.
-    With a weight, B truncated multiplications (`_mul_trunc`) form
-    weight*phi^j.
+    phi^2..phi^B are one packed chain of products by phi, the giant powers
+    phi^(2B), phi^(3B), ... one of products by phi^B, each link at the width
+    of its own bound (`_power_chain`).  Each power is unpacked once, for the
+    dot products.  With a weight, B truncated multiplications (`_mul_trunc`)
+    form weight*phi^j.
     """
     order = max_n - 1
     if phi[0] != 1 or min(phi) < 0:
         raise ArithmeticError("the packed power chains need phi_0 = 1 and phi >= 0")
     step = isqrt(order) + 1
-    baby = [[1] + [0] * order, phi]
-    if order:
-        baby += [p for p, _ in _power_chain(phi, phi, step - 1, order, _chain_bytes(phi, step))]
+    baby = [[1] + [0] * order, phi] + [p for p, _ in _power_chain(phi, step - 1, order)]
     inner = baby if weight is None else [_mul_trunc(weight, p, order) for p in baby[:step]]
-    giants = _power_chain(baby[step], baby[step], max_n // step - 1, order)
+    giants = _power_chain(baby[step], max_n // step - 1, order)
     giant = baby[0]
     c = [0] * (max_n + 1)
     for n in range(1, max_n + 1):

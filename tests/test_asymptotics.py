@@ -13,6 +13,7 @@ from cubedecomp.asymptotics import (
     eval_M_prime,
     eval_M_second,
     find_saddle,
+    log_asymptotic_estimate,
     saddle_bracket,
 )
 from cubedecomp.number_theory import mobius_d
@@ -157,3 +158,12 @@ def test_estimate_overflow_returns_inf():
 def test_estimate_accepts_precomputed_saddle():
     res = find_saddle(2)
     assert asymptotic_estimate(2, 50, res) == asymptotic_estimate(2, 50)
+
+
+def test_estimate_refuses_a_saddle_of_another_dimension():
+    # Another d's saddle would give a finite, wrong estimate (4.4e108 for
+    # s_2(100) from d = 3's saddle, against 3.3e93); it raises instead.
+    res = find_saddle(3)
+    for estimate in (asymptotic_estimate, log_asymptotic_estimate):
+        with pytest.raises(ValueError, match="saddle is for d=3"):
+            estimate(2, 100, res)

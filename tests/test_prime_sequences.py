@@ -115,6 +115,12 @@ def test_signed_sum_matches_auxiliary_counts(d):
     assert [signed_sum(d, n) for n in range(11)] == a
 
 
+@pytest.mark.parametrize("walk", [signed_sum, enumerate_B])
+def test_negative_weight_raises_value_error(walk):
+    with pytest.raises(ValueError, match="weight must be >= 0, got -1"):
+        walk(1, -1)
+
+
 def test_find_oar_examples():
     # run opens at the third set: {2} followed by exactly two equal odd sets
     s = seq1((3,), (2,), (2,), (3, 5, 11), (3, 5, 11), (2, 3))

@@ -168,9 +168,9 @@ def test_every_chain_power_fits_its_slot_width(monkeypatch, d, max_n):
     chains = []
     real_chain = series._power_chain
 
-    def record(first, fixed, links, order, nb=0):
-        powers = list(real_chain(first, fixed, links, order, nb))
-        chains.append((nb, powers))
+    def record(fixed, links, order):
+        powers = list(real_chain(fixed, links, order))
+        chains.append((fixed, powers))
         return iter(powers)
 
     monkeypatch.setattr(series, "_power_chain", record)
@@ -178,27 +178,34 @@ def test_every_chain_power_fits_its_slot_width(monkeypatch, d, max_n):
     order = max_n - 1
     step = math.isqrt(order) + 1
     phi = auxiliary_counts(d, order)
-    (baby_nb, baby), (giant_nb, giant) = chains
-    # The baby chain phi^2..phi^B has one width, from the bound at J = B: every
-    # coefficient fits, and the width is within a byte of the fewest that hold
-    # the largest coefficient of phi^B.
-    assert baby_nb > 0 and len(baby) == step - 1
-    power = phi
-    for got, nb in baby:
-        power = _mul_trunc(power, phi, order)
-        assert got == power and nb == baby_nb
-        assert max(power) < 1 << 8 * nb
-    assert baby_nb <= (max(power).bit_length() + 7) // 8 + 1
-    # The giant chain phi^(2B), phi^(3B), ... takes each link's width from its
-    # own bound; phi is nondecreasing, so that bound is the top coefficient
-    # and the width is the fewest bytes that hold it.
-    assert giant_nb == 0 and len(giant) == max_n // step - 1
-    base = power
-    for got, nb in giant:
-        power = _mul_trunc(power, base, order)
+    (baby_fixed, baby), (giant_fixed, giant) = chains
+    assert baby_fixed == phi and len(baby) == step - 1
+    assert giant_fixed == baby[-1][0] and len(giant) == max_n // step - 1
+    # Both chains, the baby phi^2..phi^B and the giant phi^(2B), phi^(3B), ...,
+    # take each link's width from its own bound; phi is nondecreasing, so that
+    # bound is the top coefficient and the width is the fewest bytes that hold
+    # the largest coefficient.
+    for fixed, powers in chains:
+        power = fixed
+        for got, nb in powers:
+            power = _mul_trunc(power, fixed, order)
+            assert got == power
+            assert nb == (max(power).bit_length() + 7) // 8
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 40), min_size=1, max_size=20)
+       .map(lambda tail: [1] + [c if c % 3 else 0 for c in tail])
+       .filter(lambda f: any(a > b for a, b in zip(f, f[1:]))),
+       st.integers(min_value=0, max_value=8))
+def test_power_chain_matches_schoolbook_powers_of_any_nonnegative_operand(fixed, links):
+    # Zeros and descents make the link bound D exceed the top coefficient,
+    # so the width is no longer that coefficient's: each power must still fit.
+    order = len(fixed) - 1
+    power = fixed
+    for got, nb in series._power_chain(fixed, links, order):
+        power = _mul_school(power, fixed, order)
         assert got == power
         assert max(power) < 1 << 8 * nb
-        assert nb == (max(power).bit_length() + 7) // 8
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
