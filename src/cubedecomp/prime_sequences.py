@@ -13,10 +13,11 @@ of A_{d,n} equals the auxiliary coefficient a_d(n).
 The partner map `involution` acts on every sequence that contains an
 even-sized set or an odd-arity repetition run (OAR): it splits the first
 even set at its smallest (prime, colour) element, or merges the first OAR
-run, flipping the sign either way.  For d = 1 this pairs the non-reduced
-sequences perfectly, so the reduced count equals a_1(n).  For d >= 2 two
-distinct sequences can share an image (see `involution`), so the reduced
-count can exceed a_d(n) even though the signed count always equals it.
+run, flipping the sign either way; `find_oar` is the one test for a run.
+For d = 1 this pairs the non-reduced sequences perfectly, so the reduced
+count equals a_1(n).  For d >= 2 two distinct sequences can share an image
+(see `involution`), so the reduced count can exceed a_d(n) even though the
+signed count always equals it.
 
 What does hold for every d: a reduced sequence has only odd sets, so its
 sign is +1; sequences the map pairs (s -> t -> s) cancel in the signed sum;
@@ -25,10 +26,11 @@ the non-reduced s with involution(involution(s)) != s.  The surplus is not
 the number of orphans: for d = 2 the two first differ at n = 10 (112
 orphans, surplus 108).
 
-Appending a weight-1 set (with a repair step when that would create an
-OAR) injects reduced level n into reduced level n+1, so the reduced
-counts never decrease.
+Appending a weight-1 set (with a repair step when `find_oar` says that
+would complete an OAR) injects reduced level n into reduced level n+1, so
+the reduced counts never decrease.
 
+Every (d, n) entry point raises ValueError unless d >= 1 and n >= 0.
 Both enumerations build the sets of each weight once per call.
 `iter_sequences` yields every sequence of A_{d,n} as a tuple, for the
 checks that inspect it; `signed_sum` only needs signs, so it walks the same
@@ -65,15 +67,19 @@ def sequence_sign(seq: PrimeSequence) -> int:
     return v
 
 
+def _check_domain(d: int, n: int) -> None:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if n < 0:
+        raise ValueError(f"weight must be >= 0, got {n}")
+
+
 def enumerate_B(d: int, n: int) -> List[PrimeSet]:
     """All d-coloured prime sets of weight n >= 1, sorted canonically.
 
     Empty for n = 0: a set here always has at least one element.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if n < 0:
-        raise ValueError(f"weight must be >= 0, got {n}")
+    _check_domain(d, n)
     if n == 0:
         return []
     choices: List[List[PrimeSet]] = []
@@ -90,9 +96,11 @@ def enumerate_B(d: int, n: int) -> List[PrimeSet]:
 def iter_sequences(d: int, n: int) -> Iterator[PrimeSequence]:
     """All sequences of nonempty d-coloured prime sets with total weight n.
 
-    Lazy; distinct by construction (first-set weight then recursion).  The
-    sets of each weight are built once per call.
+    Lazy, so a bad (d, n) raises at the first `next()`; distinct by
+    construction (first-set weight then recursion).  The sets of each
+    weight are built once per call.
     """
+    _check_domain(d, n)
     sets = [[]] + [enumerate_B(d, w) for w in range(1, n + 1)]
 
     def walk(m: int) -> Iterator[PrimeSequence]:
@@ -121,8 +129,7 @@ def signed_sum(d: int, n: int) -> int:
     groups sequences, so this stays an enumeration, the independent side
     of the check against `auxiliary_counts`.
     """
-    if n < 0:
-        raise ValueError(f"weight must be >= 0, got {n}")
+    _check_domain(d, n)
     if n == 0:
         return 1
     signs = [[set_sign(s) for s in enumerate_B(d, w)] for w in range(n + 1)]
@@ -153,24 +160,17 @@ def find_oar(seq: PrimeSequence) -> Optional[Tuple[int, int]]:
     """Earliest odd-arity repetition run: (start, ell), 0-based start, or None.
 
     A run starting at j needs A_j = {ell} a singleton prime, followed by
-    exactly ell equal odd-sized sets, each of whose elements exceeds ell or
-    equals ell with a colour above A_j's.
+    exactly ell copies of one odd-sized set whose elements all exceed A_j's
+    (prime, colour) as tuples.  Sets are sorted (see `PrimeSet`), so that
+    set's first element decides.
     """
-    k = len(seq)
-    for j in range(k):
-        s = seq[j]
-        if len(s) != 1:
-            continue
-        ell, c0 = s[0]
-        if j + ell >= k:
-            continue
-        nxt = seq[j + 1]
-        if len(nxt) % 2 == 0:
-            continue
-        if any(seq[j + t] != nxt for t in range(2, ell + 1)):
-            continue
-        if all(p > ell or (p == ell and c > c0) for p, c in nxt):
-            return (j, ell)
+    for j, s in enumerate(seq):
+        if len(s) == 1:
+            ell = s[0][0]
+            run = seq[j + 1:j + ell + 1]
+            if (len(run) == ell and len(run[0]) % 2 and run[0][0] > s[0]
+                    and run.count(run[0]) == ell):
+                return (j, ell)
     return None
 
 
@@ -190,20 +190,15 @@ def involution(seq: PrimeSequence) -> PrimeSequence:
     ({2_1}, {2_2}, {2_2 2_3}) and ({2_1 2_2}, {2_3}, {2_3}) both map to
     ({2_1}, {2_2}, {2_2}, {2_3}, {2_3}), whose partner is only the latter.
     """
-    i1 = first_even_set(seq)
-    oar = find_oar(seq)
-    i2 = oar[0] if oar is not None else None
-    if i1 is None and i2 is None:
+    i = first_even_set(seq)
+    oar = find_oar(seq[:i])  # a run holds no even set, so it ends before seq[i]
+    if oar is not None:
+        j, ell = oar
+        return seq[:j] + (tuple(sorted(seq[j] + seq[j + 1])),) + seq[j + ell + 1:]
+    if i is None:
         raise ValueError("sequence has no even set and no repetition run")
-    if i2 is None or (i1 is not None and i1 < i2):
-        s = seq[i1]
-        p0 = min(s)
-        remainder = tuple(x for x in s if x != p0)
-        block = ((p0,),) + (remainder,) * p0[0]
-        return seq[:i1] + block + seq[i1 + 1:]
-    j, ell = oar
-    merged = tuple(sorted(seq[j] + seq[j + 1]))
-    return seq[:j] + (merged,) + seq[j + ell + 1:]
+    p0, remainder = seq[i][0], seq[i][1:]
+    return seq[:i] + ((p0,),) + (remainder,) * p0[0] + seq[i + 1:]
 
 
 def is_reduced(seq: PrimeSequence) -> bool:
@@ -227,18 +222,13 @@ def enumerate_A_tilde(d: int, n: int) -> List[PrimeSequence]:
 def ratio_injection(seq: PrimeSequence, colour: int) -> PrimeSequence:
     """Inject a reduced weight-n sequence into the reduced weight-(n+1) set.
 
-    Appends {2_colour}; if the tail already reads {2_c'}, {2_colour} with
-    c' < colour (so appending would complete an OAR run), the two copies of
-    {2_colour} collapse into {3_colour} instead.
+    Appends {2_colour}, unless that completes an OAR run; then the two
+    copies of {2_colour} collapse into {3_colour} instead.  Only the tail
+    {2_c'}, {2_colour} with c' < colour can be completed (a longer run needs
+    elements above 2), so `find_oar` on those two sets and the new one decides.
     """
     new = ((2, colour),)
-    if (
-        len(seq) >= 2
-        and seq[-1] == new
-        and len(seq[-2]) == 1
-        and seq[-2][0][0] == 2
-        and seq[-2][0][1] < colour
-    ):
+    if find_oar(seq[-2:] + (new,)) is not None:
         return seq[:-1] + (((3, colour),),)
     return seq + (new,)
 
@@ -249,4 +239,13 @@ def sequence_to_json(seq: PrimeSequence) -> list:
 
 
 def sequence_from_json(data: list) -> PrimeSequence:
-    return tuple(tuple(sorted((int(e["p"]), int(e["colour"])) for e in s)) for s in data)
+    """Inverse of sequence_to_json; raises ValueError on a malformed shape, a
+    missing field, and a p or colour that is not a JSON integer."""
+    try:
+        sets = [[(e["p"], e["colour"]) for e in s] for s in data]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed prime sequence JSON: {exc!r}") from None
+    bad = [x for s in sets for pair in s for x in pair if type(x) is not int]  # a bool, or 2.9
+    if bad:
+        raise ValueError(f"a prime sequence needs integer p and colour, got {bad[0]!r}")
+    return tuple(tuple(sorted(s)) for s in sets)

@@ -3,6 +3,8 @@
 from itertools import zip_longest
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubedecomp.number_theory import mobius_d
 from cubedecomp.prime_sequences import (
@@ -115,10 +117,28 @@ def test_signed_sum_matches_auxiliary_counts(d):
     assert [signed_sum(d, n) for n in range(11)] == a
 
 
-@pytest.mark.parametrize("walk", [signed_sum, enumerate_B])
+DOMAIN_WALKS = [signed_sum, enumerate_B, iter_sequences, enumerate_A, enumerate_A_tilde]
+
+
+def call(walk, d, n):
+    """Call walk, draining iter_sequences: a generator checks (d, n) at its first next()."""
+    result = walk(d, n)
+    return list(result) if walk is iter_sequences else result
+
+
+@pytest.mark.parametrize("walk", DOMAIN_WALKS)
 def test_negative_weight_raises_value_error(walk):
     with pytest.raises(ValueError, match="weight must be >= 0, got -1"):
-        walk(1, -1)
+        call(walk, 1, -1)
+
+
+@pytest.mark.parametrize("walk", DOMAIN_WALKS)
+@pytest.mark.parametrize("d", [0, -5])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_colour_count_below_one_raises_value_error(walk, d, n):
+    # d is checked before n, so a bad d names d even when n is bad too
+    with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+        call(walk, d, n)
 
 
 def test_find_oar_examples():
@@ -219,6 +239,112 @@ def test_orphan_count_matches_reduced_surplus_at_first_failure():
     assert len(bad) == surplus == 2
 
 
+# Frozen reference forms of find_oar, involution and ratio_injection,
+# written out rule by rule: every element of the repeated set is compared,
+# involution compares the positions of both moves, and ratio_injection spells
+# out its own repair test.  The partner maps must agree with them.
+def oracle_find_oar(seq):
+    k = len(seq)
+    for j in range(k):
+        s = seq[j]
+        if len(s) != 1:
+            continue
+        ell, c0 = s[0]
+        if j + ell >= k:
+            continue
+        nxt = seq[j + 1]
+        if len(nxt) % 2 == 0:
+            continue
+        if any(seq[j + t] != nxt for t in range(2, ell + 1)):
+            continue
+        if all(p > ell or (p == ell and c > c0) for p, c in nxt):
+            return (j, ell)
+    return None
+
+
+def oracle_involution(seq):
+    i1 = first_even_set(seq)
+    oar = oracle_find_oar(seq)
+    i2 = oar[0] if oar is not None else None
+    if i1 is None and i2 is None:
+        raise ValueError("sequence has no even set and no repetition run")
+    if i2 is None or (i1 is not None and i1 < i2):
+        s = seq[i1]
+        p0 = min(s)
+        remainder = tuple(x for x in s if x != p0)
+        block = ((p0,),) + (remainder,) * p0[0]
+        return seq[:i1] + block + seq[i1 + 1:]
+    j, ell = oar
+    merged = tuple(sorted(seq[j] + seq[j + 1]))
+    return seq[:j] + (merged,) + seq[j + ell + 1:]
+
+
+def oracle_ratio_injection(seq, colour):
+    new = ((2, colour),)
+    if (
+        len(seq) >= 2
+        and seq[-1] == new
+        and len(seq[-2]) == 1
+        and seq[-2][0][0] == 2
+        and seq[-2][0][1] < colour
+    ):
+        return seq[:-1] + (((3, colour),),)
+    return seq + (new,)
+
+
+def outcome(f, *args):
+    """f's result, or ValueError when f raises it."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def assert_partner_maps_match_oracles(seq, colours):
+    assert find_oar(seq) == oracle_find_oar(seq), seq
+    assert outcome(involution, seq) == outcome(oracle_involution, seq), seq
+    for colour in colours:
+        assert ratio_injection(seq, colour) == oracle_ratio_injection(seq, colour), (seq, colour)
+
+
+@pytest.mark.parametrize("d,max_n", [(1, 10), (2, 10), (3, 8)])
+def test_partner_maps_match_the_frozen_oracles(d, max_n):
+    colours = range(1, d + 1)
+    for n in range(max_n + 1):
+        for seq in iter_sequences(d, n):
+            assert_partner_maps_match_oracles(seq, colours)
+
+
+# Sequences off B: sorted sets with repeated primes in distinct colours,
+# composite and large singleton "primes", and would-be runs one copy short or
+# long with even sets before, inside or after them.
+PSEUDO_PRIMES = st.sampled_from([2, 3, 4, 5, 7, 9, 97])
+SETS = st.frozensets(st.tuples(PSEUDO_PRIMES, st.integers(1, 3)), min_size=1, max_size=4).map(
+    lambda s: tuple(sorted(s))
+)
+
+
+@st.composite
+def near_runs(draw):
+    ell = draw(st.sampled_from([2, 3, 4, 5]))
+    seq = [((ell, draw(st.integers(1, 3))),)] + [draw(SETS)] * (ell + draw(st.integers(-1, 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        even = draw(SETS.filter(lambda s: len(s) % 2 == 0))
+        seq.insert(draw(st.integers(0, len(seq))), even)
+    return tuple(draw(st.lists(SETS, max_size=3)) + seq + draw(st.lists(SETS, max_size=3)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.lists(SETS, max_size=8).map(tuple), near_runs()))
+# the repeated set's smallest element sits below the opener, its largest above
+@example((((3, 1),), ((2, 1), (5, 1), (7, 1)), ((2, 1), (5, 1), (7, 1)), ((2, 1), (5, 1), (7, 1))))
+# the tail a repair would collapse, then the same tail with the colours swapped
+@example((((2, 1),), ((2, 2),)))
+@example((((2, 2),), ((2, 1),)))
+def test_partner_maps_match_the_frozen_oracles_off_B(seq):
+    assert_partner_maps_match_oracles(seq, (1, 2, 3))
+
+
 def test_ratio_injection_examples():
     assert ratio_injection((), 1) == (cs((2, 1)),)
     assert ratio_injection((cs((2, 1)),), 2) == (cs((2, 1)), cs((2, 2)))
@@ -246,3 +372,18 @@ def test_json_round_trip():
         [{"p": 3, "colour": 1}, {"p": 11, "colour": 2}],
     ]
     assert sequence_from_json(data) == s
+
+
+@pytest.mark.parametrize("data,message", [
+    ([[{"p": 2.9, "colour": True}]], "integer p and colour, got 2.9"),
+    ([[{"p": 2, "colour": True}]], "integer p and colour, got True"),
+    ([[{"p": "2", "colour": 1}]], "integer p and colour, got '2'"),
+    ([[{"p": 2}]], "malformed prime sequence JSON: KeyError\\('colour'\\)"),
+    ([[[2, 1]]], "malformed prime sequence JSON: TypeError"),
+    ([{"p": 2, "colour": 1}], "malformed prime sequence JSON: TypeError"),
+    (5, "malformed prime sequence JSON: TypeError"),
+    (None, "malformed prime sequence JSON: TypeError"),
+])
+def test_sequence_from_json_rejects_bad_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        sequence_from_json(data)
