@@ -82,7 +82,8 @@ MAX_N_CAPS = {"sd": 600, "ad": 6000, "td": 5000, "refined": 600}
 # mu --n A..B sieves B - A + 1 values by the primes up to isqrt(B); at either cap a fresh
 # process takes under 1 s on that VM (1..10^6 at d = 3: 0.9 s, 10^14..10^14+2000: 0.55 s).
 # Past the root cap, --allow-large still sieves every prime up to isqrt(B), however narrow
-# the range (n = 10^16 alone: 4.7 s, 207.5 MB); library mobius_d answers that point in 62 us.
+# the range, one block at a time (n = 10^16 alone: 4.1-4.6 s, 16.6 MB peak RSS); library
+# mobius_d answers that point in 62 us.
 MU_CAPS = {"width": 1_000_000, "root": 10_000_000}
 
 

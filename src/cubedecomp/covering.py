@@ -117,25 +117,24 @@ def phi(dec: "geometry.Decomposition") -> Necs:
     a smaller decomposition whose classes lift by a mod n -> j + r*a mod r*n.
     Lifts compose to a mod n -> A + M*a mod M*n, so an explicit stack holds
     (block in the integer grid form of geometry, A, M); a one-region block is
-    the class A mod M.  Each block's r, and the blocks of a grid it searched, come
-    from the memoized gcd search that also answers is_split_generated and gcd_of.
+    the class A mod M.  Each internal block's children are the blocks of its
+    record in the memoized gcd search that also answers is_split_generated and gcd_of.
     """
     if dec.d != 1:
         raise ValueError(f"phi is defined on 1-dimensional decompositions, got d={dec.d}")
     if len(dec.grid) == 1 and (dec.Ls, dec.grid) != ((1,), ((0, 1),)):
         raise ValueError("a one-region decomposition must be the unit interval (0, 1)")
     classes: List[Tuple[int, int]] = []  # (n, a), which sorts in Necs order
-    found: dict = {}  # the blocks of each grid the search cut, for the walk to take
     stack = [((dec.Ls, dec.grid), 0, 1)]
     while stack:
         grid, a, m = stack.pop()
         if len(grid[1]) == 1:
             classes.append((m, a))
             continue
-        gcd = geometry._gcd(grid, found)
-        if gcd is None:
+        record = geometry._gcd(grid)
+        if record is None:
             raise ValueError("a nontrivial decomposition must have gcd >= 2")
-        blocks = found.pop(grid, None) or geometry._cells(grid, 0, gcd[0])
+        blocks = record[1]
         stack.extend((block, a + m * j, m * len(blocks)) for j, block in enumerate(blocks))
     system = object.__new__(Necs)  # the classes are in Necs order: no second sort
     object.__setattr__(system, "classes", tuple(ResidueClass(a, n) for n, a in sorted(classes)))

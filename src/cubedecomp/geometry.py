@@ -20,8 +20,9 @@ build this form; Fractions are made only when regions is read.  With w =
 L_i / r, a region fits in the r-cell lo // w iff hi <= (lo // w + 1) w;
 restricting to that cell shifts it by a multiple of w and sets L_i = w.  A
 cell keeps its parent's scale, so the same cell reached by two routes has the
-same form (L/r/s = L/(rs)).  One search computes a grid's gcd vector, or None
-when the grid is not split-generated; a bounded memo of those results, keyed
+same form (L/r/s = L/(rs)).  One search computes a grid's record (gcd vector,
+blocks), the blocks being its gcd[0] cells on axis 0 (None if gcd[0] = 1), or
+None when the grid is not split-generated; a bounded memo of the records, keyed
 by grid form, serves is_split_generated, gcd_of, refines_grid and covering.phi.
 
 Key structural facts used here:
@@ -201,7 +202,7 @@ def volume(dec: Decomposition) -> Fraction:
 # ------------------------------------------------------------ integer-grid kernel
 
 _MEMO_BOUND = 4096
-_memo: Dict[Grid, Optional[Tuple[int, ...]]] = {}  # gcd vectors by grid form, oldest evicted first
+_memo: Dict[Grid, Optional[tuple]] = {}  # records by grid form, oldest evicted first
 _NEW = object()  # what the memo gives for a grid it does not hold
 
 
@@ -230,18 +231,18 @@ def _cells(grid: Grid, axis: int, r: int) -> Optional[List[Grid]]:
     return [(Ls, tuple(bucket)) for bucket in buckets]
 
 
-def _search(grid: Grid, found: Optional[dict] = None):
-    """Coroutine of one grid's gcd search: yields the cells it needs, is sent their gcds.
+def _search(grid: Grid):
+    """Coroutine of one grid's gcd search: yields the cells it needs, is sent their records.
 
-    Returns the gcd vector, or None unless the grid is split-generated.  One
-    region is generated iff it fills its cell; more are iff some axis has an
-    r >= 2 whose r cells are generated.  The feasible r on an axis are the
-    divisors of the largest, so the scan from the top stops at the gcd's entry.
+    Returns the record (gcd vector, axis-0 blocks), or None unless the grid is
+    split-generated.  One region is generated iff it fills its cell; more are iff
+    some axis has an r >= 2 whose r cells are generated.  The feasible r on an axis
+    are the divisors of the largest, so the scan from the top stops at the gcd's entry.
     """
     Ls, regions = grid
+    out, blocks = [1] * len(Ls), None
     if len(regions) == 1:
-        return (1,) * len(Ls) if regions[0] == tuple(e for L in Ls for e in (0, L)) else None
-    out = [1] * len(Ls)
+        return (tuple(out), None) if regions[0] == tuple(e for L in Ls for e in (0, L)) else None
     for axis, L in enumerate(Ls):
         for r in range(min(len(regions), L), 1, -1):
             cells = _cells(grid, axis, r)
@@ -251,20 +252,19 @@ def _search(grid: Grid, found: Optional[dict] = None):
                         break
                 else:
                     out[axis] = r
-                    if found is not None and axis == 0:
-                        found[grid] = cells
+                    blocks = blocks if axis else cells
                     break
-    return tuple(out) if max(out) > 1 else None
+    return (tuple(out), blocks) if max(out) > 1 else None
 
 
-def _gcd(grid: Grid, found: Optional[dict] = None) -> Optional[Tuple[int, ...]]:
-    """grid's gcd vector, or None unless it is split-generated.
+def _gcd(grid: Grid) -> Optional[tuple]:
+    """grid's record (gcd vector, axis-0 blocks), or None unless it is split-generated.
 
     A depth-first search on an explicit stack, so deep inputs need no recursion.
-    Every result goes into the memo, and each searched grid's axis-0 cells into found.
+    Every record goes into the memo.
     """
     result = _memo.get(grid, _NEW)
-    stack, result = ([(grid, _search(grid, found))], None) if result is _NEW else ([], result)
+    stack, result = ([(grid, _search(grid))], None) if result is _NEW else ([], result)
     while stack:
         node, search = stack[-1]
         try:
@@ -278,15 +278,14 @@ def _gcd(grid: Grid, found: Optional[dict] = None) -> Optional[Tuple[int, ...]]:
         result = _memo.get(cell, _NEW)
         if result is _NEW:  # a fresh search is sent None
             result = None
-            stack.append((cell, _search(cell, found)))
+            stack.append((cell, _search(cell)))
     return result
 
 
 def is_split_generated(dec: Decomposition) -> bool:
     """Whether dec arises from the trivial decomposition by iterated equal splits.
 
-    Reads the gcd search: results live in a bounded memo shared by all
-    callers and keyed by the integer grid form (L, sorted integer regions).
+    True iff the memoized gcd search gives a record, not None (see the module doc).
     """
     return _gcd((dec.Ls, dec.grid)) is not None
 
@@ -325,13 +324,13 @@ def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
 
     Per axis, split-feasible r divide lcm_of(dec) and are closed under lcm,
     so the per-axis maximum over divisors is attained and jointly feasible.
-    The value is the memoized result of the gcd search behind
+    The value is the gcd field of the memoized record behind
     is_split_generated.  Raises ValueError unless dec is split-generated.
     """
-    out = _gcd((dec.Ls, dec.grid))
-    if out is None:
+    record = _gcd((dec.Ls, dec.grid))
+    if record is None:
         raise ValueError("the regions are not a split-generated decomposition")
-    return out
+    return record[0]
 
 
 def restrict_rescale(dec: Decomposition, cell: Region) -> Decomposition:

@@ -240,7 +240,10 @@ def sequence_to_json(seq: PrimeSequence) -> list:
 
 def sequence_from_json(data: list) -> PrimeSequence:
     """Inverse of sequence_to_json; raises ValueError on a malformed shape, a
-    missing field, and a p or colour that is not a JSON integer."""
+    missing field, a p or colour that is not a JSON integer, and on a set that
+    is not a coloured prime set: an empty set, a p that is not prime, a colour
+    below 1 or a repeated (p, colour).  Each p is checked by `factorize`, so a
+    huge p costs what factorize(p) costs."""
     try:
         sets = [[(e["p"], e["colour"]) for e in s] for s in data]
     except (KeyError, TypeError) as exc:
@@ -248,4 +251,15 @@ def sequence_from_json(data: list) -> PrimeSequence:
     bad = [x for s in sets for pair in s for x in pair if type(x) is not int]  # a bool, or 2.9
     if bad:
         raise ValueError(f"a prime sequence needs integer p and colour, got {bad[0]!r}")
-    return tuple(tuple(sorted(s)) for s in sets)
+    seq = tuple(tuple(sorted(s)) for s in sets)
+    for s in seq:
+        if not s:
+            raise ValueError("a prime sequence has no empty set")
+        for i, (p, c) in enumerate(s):
+            if p < 2 or factorize(p) != ((p, 1),):
+                raise ValueError(f"p = {p} is not a prime")
+            if c < 1:
+                raise ValueError(f"colour {c} of p = {p} is below 1")
+            if i and s[i - 1] == (p, c):
+                raise ValueError(f"the set {s} repeats ({p}, {c})")
+    return seq

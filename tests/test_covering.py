@@ -168,6 +168,27 @@ def test_unphi_inverts_phi_on_every_small_interval_decomposition():
             assert unphi(phi(dec)) == dec, dec
 
 
+def test_phi_takes_every_block_from_the_gcd_record(monkeypatch):
+    cells, calls = geometry._cells, []
+
+    def recording_cells(*args):
+        calls.append(args)
+        return cells(*args)
+
+    monkeypatch.setattr(geometry, "_cells", recording_cells)
+    geometry._memo.clear()  # every record phi reads is made by the gcd_of call before it
+    searched = 0
+    for n, level in enumerate_decompositions_up_to(1, 7).items():
+        for dec in level if n >= 2 else ():
+            calls.clear()
+            gcd_of(dec)
+            searched += len(calls)
+            calls.clear()
+            phi(dec)
+            assert not calls, dec  # phi cut no block itself
+    assert searched > 0  # the recorder sees the search's cuts
+
+
 def test_json_round_trip():
     system = necs((0, 4), (2, 8), (6, 8), (1, 6), (3, 6), (5, 6))
     data = necs_to_json_dict(system)

@@ -44,6 +44,13 @@ def test_point_query_allocates_no_table():
     assert current < 1 * MB
 
 
+def test_prime_sieve_holds_one_block_at_a_time():
+    # all n + 1 flags at once trace at about 19 MB; one block is 2^18 bytes
+    _, peak = traced_bytes("assert sum(1 for _ in _primes(10**7)) == 664_579",
+                           setup="from cubedecomp.number_theory import _primes\n")
+    assert peak < 2 * MB
+
+
 def test_tree_enumeration_keeps_nothing_after_return():
     current, peak = traced_bytes("""
         trees = enumerate_trees(2, 7)

@@ -383,6 +383,12 @@ def test_json_round_trip():
     ([{"p": 2, "colour": 1}], "malformed prime sequence JSON: TypeError"),
     (5, "malformed prime sequence JSON: TypeError"),
     (None, "malformed prime sequence JSON: TypeError"),
+    ([[]], "^a prime sequence has no empty set$"),
+    ([[{"p": 4, "colour": 1}]], "^p = 4 is not a prime$"),
+    ([[{"p": 3, "colour": 1}], [{"p": -3, "colour": 1}]], "^p = -3 is not a prime$"),
+    ([[{"p": 2, "colour": -7}]], "^colour -7 of p = 2 is below 1$"),
+    ([[{"p": 2, "colour": 1}, {"p": 2, "colour": 1}]],  # involution would make three {2_1}
+     "^the set \\(\\(2, 1\\), \\(2, 1\\)\\) repeats \\(2, 1\\)$"),
 ])
 def test_sequence_from_json_rejects_bad_input(data, message):
     with pytest.raises(ValueError, match=message):
