@@ -12,7 +12,6 @@ a mod n -> j + r*a mod r*n, which multiplies each modulus by r and hence
 preserves the componentwise gcd and lcm of the two worlds.
 """
 
-from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 from typing import Dict, List, NamedTuple, Set, Tuple
 
@@ -75,6 +74,8 @@ def is_exact_cover(classes: Tuple[ResidueClass, ...]) -> bool:
         for j in range(i + 1, len(classes)):
             if classes_intersect(classes[i], classes[j]):
                 return False
+    from fractions import Fraction
+
     return sum(Fraction(1, c.n) for c in classes) == 1
 
 

@@ -16,14 +16,16 @@ A Decomposition is its integer grid form.  Every endpoint on axis i lies on
 the grid (1/L_i)Z, L = lcm_of(S), so S is (L, regions), a region being the
 flat tuple (lo_1, hi_1, ..., lo_d, hi_d) of integers in 0..L_i, in sorted
 order (on one axis the integer order is the Fraction order).  Constructors
-build this form; Fractions are made only when regions is read.  With w =
-L_i / r, a region fits in the r-cell lo // w iff hi <= (lo // w + 1) w;
-restricting to that cell shifts it by a multiple of w and sets L_i = w.  A
-cell keeps its parent's scale, so the same cell reached by two routes has the
-same form (L/r/s = L/(rs)).  One search computes a grid's record (gcd vector,
-blocks), the blocks being its gcd[0] cells on axis 0 (None if gcd[0] = 1), or
-None when the grid is not split-generated; a bounded memo of the records, keyed
-by grid form, serves is_split_generated, gcd_of, refines_grid and covering.phi.
+build this form; Fractions are made only when regions is read, and each
+function that makes one imports fractions, so importing the package does not.
+With w = L_i / r, a region fits in the r-cell lo // w iff
+hi <= (lo // w + 1) w; restricting to that cell shifts it by a multiple of w
+and sets L_i = w.  A cell keeps its parent's scale, so the same cell reached
+by two routes has the same form (L/r/s = L/(rs)).  One search computes a
+grid's record (gcd vector, blocks), the blocks being its gcd[0] cells on
+axis 0 (None if gcd[0] = 1), or None when the grid is not split-generated; a
+bounded memo of the records, keyed by grid form, serves is_split_generated,
+gcd_of, refines_grid and covering.phi.
 
 Key structural facts used here:
   * any r_i with S refining the single-axis r_i-grid divides L_i, so gcd_of
@@ -33,14 +35,13 @@ Key structural facts used here:
     gcd grid's entry.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ._frozen import Frozen
 
-Region = Tuple[Tuple[Fraction, Fraction], ...]
+Region = Tuple[Tuple["Fraction", "Fraction"], ...]
 Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
 
 
@@ -62,6 +63,8 @@ class Decomposition(Frozen):
     @property
     def regions(self) -> Tuple[Region, ...]:
         if self._regions is None:  # one Fraction per distinct endpoint of an axis
+            from fractions import Fraction
+
             cols = list(zip(*self.grid))  # lo_1, hi_1, ..., lo_d, hi_d
             axes = []
             for lo, hi, L in zip(cols[::2], cols[1::2], self.Ls):
@@ -103,6 +106,8 @@ def _form(d: int, regions: List[List[Tuple[Tuple[int, int], Tuple[int, int]]]]) 
 
 
 def unit_region(d: int) -> Region:
+    from fractions import Fraction
+
     return ((Fraction(0), Fraction(1)),) * d
 
 
@@ -194,7 +199,9 @@ def scale_map(src: Region, dst: Region, region: Region) -> Region:
     return tuple(out)
 
 
-def volume(dec: Decomposition) -> Fraction:
+def volume(dec: Decomposition) -> "Fraction":
+    from fractions import Fraction
+
     return Fraction(sum(prod(hi - lo for lo, hi in zip(reg[::2], reg[1::2])) for reg in dec.grid),
                     prod(dec.Ls))
 
@@ -400,6 +407,8 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
         num, slash, den = e.partition("/")
         if e.isascii() and num.isdigit() and (den.isdigit() and den.strip("0") or not slash):
             return int(num), int(den or 1)
+        from fractions import Fraction  # imported here, off the fast path above
+
         f = Fraction(e)  # "0.25", "+1/2", " 1/2", "1/0" and bad text, as Fraction reads them
         return f.numerator, f.denominator
 
@@ -416,10 +425,14 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
         raise ValueError("a decomposition needs d >= 1 and at least one region")
     for region in regions:
         if len(region) != d:
+            from fractions import Fraction
+
             region = tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in region)
             raise ValueError(f"region {region} does not have {d} intervals")
         for (a, b), (c, e) in region:  # a/b and c/e, b and e positive
             if not (0 <= a and a * e < c * b and c <= e):
+                from fractions import Fraction
+
                 raise ValueError(f"interval ({Fraction(a, b)}, {Fraction(c, e)}) "
                                  "does not satisfy 0 <= lo < hi <= 1")
     return _decomposition(d, *_form(d, regions))

@@ -19,7 +19,8 @@ baby steps phi^0..phi^(B-1) and the giant steps phi^B, phi^2B, ... give every
 coefficient as one dot product (Brent & Kung's baby-step/giant-step scheme),
 about 2*sqrt(N) truncated multiplications in place of N, plus B for H'*phi^j.
 The auxiliary coefficients come from their O(N^2) recurrence with the terms
-grouped by the few values of mu_d: one big-integer addition per nonzero term.
+grouped by the few values of mu_d: one big-integer addition per term whose
+mu_d is not the most frequent value.
 `_revert_by_extraction` is a slower independent scheme kept as a cross-check;
 its products are schoolbook dot products (`_mul_school`).
 
@@ -63,7 +64,7 @@ slots, since carries only move up; the product stays packed for the next link.
 
 from itertools import accumulate
 from math import isqrt, prod
-from operator import add
+from operator import add, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._frozen import Frozen
@@ -152,25 +153,39 @@ def auxiliary_counts(d: int, max_n: int) -> List[int]:
     Recurrence from M_d(z) * sum a_d(i) z^i = z:
     a_d(0) = 1,  a_d(n) = -sum_{k=2}^{n+1} mu_d(k) a_d(n+1-k).
 
-    mu_d takes few distinct values (11 for d = 3 up to 1401), so the terms
-    are grouped by value: a_d(n) = -sum_v v * (sum of a_d(n+1-k) over the
-    k <= n+1 with mu_d(k) = v).  Each nonzero term then costs one big-integer
-    addition, and each step one multiplication per distinct value.  The
-    groups hold the offsets k - 2 into the reversed prefix a_d(n-1), ..., a_d(0)
-    and grow by one offset per step.
+    For any constant c,
+    a_d(n) = -(c * (a_d(0) + ... + a_d(n-1))
+               + sum_{k : mu_d(k) != c} (mu_d(k) - c) a_d(n+1-k)),
+    with the prefix sum kept as a running total.  c is the most frequent value
+    of mu_d(2..max_n+1), 0 included, which leaves the fewest terms: at
+    max_n = 1400, 70% of the k for d = 3 and 63% for d = 2, against the 92%
+    and 83% with mu_d(k) != 0 (for d = 1, c = 0 there).  mu_d - c takes few
+    distinct values (11 for d = 3), so the terms are grouped by value: each
+    step costs one big-integer addition per kept k and one multiplication per
+    group.  A group holds the offsets k - 1 into a_d(n), a_d(n-1), ..., a_d(0),
+    where a_d(n) is still 0, plus offset 0, so that its itemgetter always
+    returns a tuple; it gains one offset, and a new getter, per step.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     mu = mobius_d_values(d, max_n + 1)
+    tail = mu[2:]
+    c = max(set(tail), key=tail.count, default=0)
     a = [1] + [0] * max_n
-    groups: Dict[int, List[int]] = {}
+    groups: Dict[int, List[int]] = {}  # mu_d(k) - c: offsets k - 1
+    getters: Dict[int, itemgetter] = {}
+    total = 0  # a_d(0) + ... + a_d(n - 1)
     for n in range(1, max_n + 1):
-        if mu[n + 1]:
-            groups.setdefault(mu[n + 1], []).append(n - 1)
-        get = a[n - 1::-1].__getitem__
-        a[n] = -sum([v * sum(map(get, ks)) for v, ks in groups.items()])
+        total += a[n - 1]
+        v = mu[n + 1] - c
+        if v:
+            offsets = groups.setdefault(v, [0])
+            offsets.append(n)
+            getters[v] = itemgetter(*offsets)
+        rev = a[n::-1]
+        a[n] = -(c * total + sum([v * sum(get(rev)) for v, get in getters.items()]))
     return a
 
 

@@ -74,8 +74,8 @@ def test_mu_json_records(capsys, monkeypatch):
     sieve, segments = cli._mobius_d_segment, []
     monkeypatch.setattr(cli, "_mobius_d_segment",
                         lambda d, lo, hi: segments.append((lo, hi)) or sieve(d, lo, hi))
-    monkeypatch.setattr(cli, "mobius_d", refuse)
-    monkeypatch.setattr(cli, "mobius_d_values", refuse)
+    for name in ("mobius_d", "mobius_d_values"):  # cli imports neither; were one
+        monkeypatch.setattr(cli, name, refuse, raising=False)  # imported, mu could not use it
     for lo, hi in ((1, 2000), (20000000, 20000020)):
         code, out = run(capsys, "mu", "--d", "3", "--n", f"{lo}..{hi}")
         assert code == 0
@@ -394,14 +394,32 @@ CORRUPTIONS = [
 @pytest.mark.parametrize("table, key, entry, check", CORRUPTIONS,
                          ids=[c[0] for c in CORRUPTIONS])
 def test_verify_failure_exit_code(capsys, monkeypatch, table, key, entry, check):
-    corrupted = getattr(cli, table).copy()
+    from cubedecomp import _verify
+
+    corrupted = getattr(_verify, table).copy()
     corrupted[key] = entry
-    monkeypatch.setattr(cli, table, corrupted)
+    monkeypatch.setattr(_verify, table, corrupted)
     code, out = run(capsys, "verify", "--suite", "tables")
     assert code == 2
     recs = records(out)
     assert [r["result"]["check"] for r in recs if r["result"].get("status") == "fail"] == [check]
     assert recs[-1]["result"]["failed"] == 1
+
+
+def test_suite_names_are_the_suites_in_order(capsys):
+    # --suite offers cli.SUITE_NAMES without loading the suites, and verify --suite all
+    # runs them in that order: the tuple and the suites must not drift apart
+    from cubedecomp import _verify
+
+    assert cli.SUITE_NAMES == tuple(_verify.SUITES)
+    code, out = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "{" + ",".join((*_verify.SUITES, "all")) + "}" in out
+    # the suites and their frozen tables stay readable through cli
+    assert (cli.SUITES, cli.S_TABLE, cli.G_ROW) == (_verify.SUITES, _verify.S_TABLE,
+                                                     _verify.G_ROW)
+    with pytest.raises(AttributeError):
+        cli.NO_SUCH_TABLE
 
 
 def test_usage_errors_exit_one(capsys):
@@ -671,14 +689,50 @@ def test_csv_values_beyond_the_int_digit_limit_and_the_limit_comes_back(capsys):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # each costs start-up time on every command; compare with what the interpreter
-    # (and any site hook) had loaded already
+    # each costs start-up time on every command, and so do fractions (with decimal)
+    # and the verify suites, which no table command uses; compare with what the
+    # interpreter (and any site hook) had loaded already
     code = ("import sys; before = set(sys.modules); import cubedecomp.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', "
+            "'cubedecomp._verify'} & (set(sys.modules) - before)))")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
+
+
+# Each function that builds a Fraction imports fractions itself: (call, its repr or
+# error text), each in a fresh interpreter that has not loaded fractions.
+FRACTION_MAKERS = [
+    ("grid_decomposition((1, 2)).regions",
+     "(((Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 2))), "
+     "((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 1))))"),
+    ("unit_region(2)", "((Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(1, 1)))"),
+    ("volume(grid_decomposition((2, 3)))", "Fraction(1, 1)"),
+    ("is_exact_cover((ResidueClass(0, 2), ResidueClass(1, 4), ResidueClass(3, 4)))", "True"),
+    ("is_exact_cover((ResidueClass(0, 2), ResidueClass(1, 4)))", "False"),
+    ("decomposition_from_json_dict({'d': 1, 'regions': [[['0', '0.25']], [['1/4', 1]]]})",
+     "Decomposition(d=1, regions=(((Fraction(0, 1), Fraction(1, 4)),), "
+     "((Fraction(1, 4), Fraction(1, 1)),)))"),
+    ("decomposition_from_json_dict({'d': 1, 'regions': [[['0', '1/0']]]})",
+     "ValueError: malformed decomposition JSON: Fraction(1, 0)"),
+    ("decomposition_from_json_dict({'d': 1, 'regions': [[['1/2', '3/2']]]})",
+     "ValueError: interval (1/2, 3/2) does not satisfy 0 <= lo < hi <= 1"),
+    ("decomposition_from_json_dict({'d': 2, 'regions': [[['0', '1/4']]]})",
+     "ValueError: region ((Fraction(0, 1), Fraction(1, 4)),) does not have 2 intervals"),
+]
+
+
+@pytest.mark.parametrize("call, expected", FRACTION_MAKERS, ids=[c for c, _ in FRACTION_MAKERS])
+def test_each_fraction_maker_imports_fractions_itself(call, expected):
+    code = ("import sys; before = set(sys.modules); from cubedecomp import *\n"
+            "assert 'fractions' not in set(sys.modules) - before\n"
+            f"try:\n    print(repr({call}))\n"
+            "except ValueError as exc:\n    print('ValueError:', exc)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == expected + "\n"
 
 
 def test_result_classes_are_frozen_values():

@@ -216,6 +216,29 @@ def test_auxiliary_counts_invert_mobius_series(d):
         assert _mul_trunc(m_over_z, auxiliary_counts(d, order), order) == [1] + [0] * order
 
 
+def _auxiliary_counts_by_value(d, max_n):
+    # frozen copy of the recurrence grouped by every nonzero value of mu_d, with no
+    # most-frequent value subtracted: an oracle for auxiliary_counts
+    mu = mobius_d_values(d, max_n + 1)
+    a = [1] + [0] * max_n
+    groups = {}
+    for n in range(1, max_n + 1):
+        if mu[n + 1]:
+            groups.setdefault(mu[n + 1], []).append(n - 1)
+        get = a[n - 1::-1].__getitem__
+        a[n] = -sum([v * sum(map(get, ks)) for v, ks in groups.items()])
+    return a
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_auxiliary_counts_match_the_recurrence_grouped_by_value(d):
+    # the mode c of mu_d(2..max_n+1) moves with max_n: for d = 3 it is 0, then -3,
+    # then swaps with 9 from max_n = 35 on; for d = 2 it swaps between -2 and 4
+    # from max_n = 216 on; for d = 1 it swaps between -1 and 0 from max_n = 24 on
+    for max_n in (*range(0, 80), *range(210, 260), 400):
+        assert auxiliary_counts(d, max_n) == _auxiliary_counts_by_value(d, max_n), max_n
+
+
 def test_auxiliary_counts_are_positive_and_nondecreasing():
     for d in (1, 2, 3, 4):
         a = auxiliary_counts(d, 60)
