@@ -210,6 +210,9 @@ def _cmd_refined(args) -> int:
 
 def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callable[[object], str]]:
     d, n = args.d, args.n
+    for flag, value in (("--d", d), ("--n", n)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.target == "necs" and d != 1:
         raise ValueError("covering systems are one-dimensional; use --d 1")
     if args.target == "trees":
@@ -459,7 +462,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("cubedecomp: out of memory; try a smaller size", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError, RecursionError) as exc:
         print(f"cubedecomp: error: {exc}", file=sys.stderr)
         return 1
 

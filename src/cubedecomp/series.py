@@ -22,81 +22,37 @@ The auxiliary coefficients come from their O(N^2) recurrence with the terms
 grouped by the few values of mu_d: one big-integer addition per term whose
 mu_d is not the most frequent value.
 `_revert_by_extraction` is a slower independent scheme kept as a cross-check;
-its products are schoolbook dot products (`_mul_school`).
+it and `TruncatedSeries` multiply by schoolbook dot products (`_mul_school`).
 
-Every other product but the power chains below is `_mul_trunc`, by Kronecker
-substitution: both operands are cut to their first order + 1 terms, and each
-is packed into one Python int with coefficient k in slot k, nb bytes wide, so
-that one multiplication gives every product coefficient p_k.
-  * Width.  With M the largest bits(a_i) + bits(b_j) over i + j <= order and
-    n the length of the shorter operand, |p_k| < n * 2^M < 2^(M + bits(n)) for
-    every k <= order.  So W = M + bits(n) + 1 bits hold p_k with its sign, and
-    nb = ceil(W / 8).  M reads the bit lengths of b as prefix maxima, so a
-    short slot serves the small low coefficients of a fast-growing series.
-    Every coefficient meets a_0 or b_0 in M, so the operands fit too.
-  * Signs.  A coefficient c goes in as nb-byte two's complement; flipping the
-    top bit of every slot (XOR with the bias, 2^(8*nb-1) per slot) makes it
-    c + 2^(8*nb-1) >= 0, and subtracting the bias leaves sum c_k 2^(8*nb*k)
-    exactly, whatever the signs.
-  * Truncation.  Slots above the order may overflow, but carries only move
-    up.  Adding the bias to the low order + 1 slots makes each of them
-    p_k + 2^(8*nb-1), in [0, 2^(8*nb)), so the product modulo
-    2^(8*nb*(order+1)) holds them with no borrow between slots; flipping the
-    top bits back and reading each slot as signed bytes gives p_k.
+Every fast product packs nonnegative coefficients, coefficient k in slot k of
+nb bytes, into one int (`_pack`): one multiplication forms every coefficient,
+and masking off the low order + 1 slots truncates, since carries only move up.
+With b* the prefix maxima of b, every coefficient through z^order of a*b is at
+most D = sum_i a_i b*_(order-i), and so are those of a and b if a_0, b_0 >= 1;
+a product packs at the fewest bytes that hold D and its operands.  The signed
+weight w of the refined counts is lifted by k = max(0, -min(w)):
+w*p = (w + k)*p - k*(p_0 + ... + p_n) at z^n (`_weigh`).
 
 The powers of phi in `_lagrange` are two chains of products by a fixed
-operand: phi for the baby powers, phi^B for the giant ones (`_power_chain`).
-They need phi_0 = 1 and phi >= 0, which `_lagrange` checks (ArithmeticError
-otherwise).  a_1(n) >= 0 because it counts the reduced prime sequences
-(`prime_sequences`).  For d >= 2 no such count is proved (the partner map
-orphans some sequences); a_d(n) >= 1, nondecreasing in n, was checked for
-d <= 30 and n <= 1000.  With no sign, a chain needs no bias: a link packs
-both operands at one slot width, multiplies, and masks off the low order + 1
-slots, since carries only move up; the product stays packed for the next link.
-  * Widths, one per link.  For a, b >= 0 with a_0 = b_0 = 1 and b* the
-    prefix maxima of b, every coefficient through z^order of a, of b and of
-    a*b is at most D = sum_i a_i b*_(order-i), one dot product per link; the
-    link packs at the fewest bytes that hold D.  The powers' coefficient bits
-    grow by half along the giant chain at N = 140, so one width would pack the
-    early links too wide.  While phi is nondecreasing, so are its powers and
-    their products, and D is the top coefficient itself.
+operand, phi for the baby powers and phi^B for the giant ones, each link at the
+bytes of its own D (`_power_chain`): the powers' bits grow by half along the
+giant chain at N = 140, so one width would pack the early links too wide.
+While phi is nondecreasing, so are its powers, and D is the top coefficient.
+The chains need phi_0 = 1 and phi >= 0, which `_lagrange` checks
+(ArithmeticError otherwise).  a_d(n) is a polynomial in d of degree <= n, so
+a_d(n) = sum_k C(d, k) f_k(n), with f_k(n) the k-th difference of a_0(n),
+a_1(n), ... (a_0(n) = [n = 0]).  f_k(n) >= 0 for 0 <= k <= n <= 200
+(`test_auxiliary_counts_are_binomial_sums_of_nonnegative_terms`; one run of
+that check reached n = 600), so phi >= 0 for every d through z^600.
 """
 
 from itertools import accumulate
 from math import isqrt, prod
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
-
-
-def _mul_trunc(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
-    """Coefficients 0..order of the product of two dense coefficient lists.
-
-    Kronecker substitution: each operand becomes one integer with a
-    coefficient per slot of nb bytes, so one big-integer multiplication forms
-    every coefficient at once.  See the module docstring for the slot width
-    and the sign bias.
-    """
-    a, b = a[:order + 1] or [0], b[:order + 1] or [0]
-    # reach[order - i]: bits of the largest |b_j| that meets a_i below z^(order+1)
-    reach = list(accumulate(map(int.bit_length, b), max))
-    reach += reach[-1:] * (order + 1 - len(reach))
-    width = (max(map(add, map(int.bit_length, a), reach[::-1]))
-             + min(len(a), len(b)).bit_length() + 1)
-    nb = (width + 7) >> 3
-    slot = bytes(nb - 1) + b"\x80"  # 2^(8*nb-1), the sign bias of one slot
-
-    def pack(s: Sequence[int]) -> int:
-        bias = int.from_bytes(slot * len(s), "little")
-        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in s])
-        return (int.from_bytes(raw, "little") ^ bias) - bias
-
-    top = int.from_bytes(slot * (order + 1), "little")
-    low = ((pack(a) * pack(b) + top) & ((1 << (8 * nb * (order + 1))) - 1)) ^ top
-    raw = low.to_bytes(nb * (order + 1), "little")
-    return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
 
 
 class TruncatedSeries(Frozen):
@@ -118,7 +74,7 @@ class TruncatedSeries(Frozen):
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        return TruncatedSeries(tuple(_mul_trunc(self.coeffs, other.coeffs, n)))
+        return TruncatedSeries(tuple(_mul_school(self.coeffs, other.coeffs, n)))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)); inner must have zero constant term.
@@ -194,6 +150,12 @@ def _pack(s: Sequence[int], nb: int) -> int:
     return int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in s]), "little")
 
 
+def _unpack(v: int, nb: int, slots: int) -> List[int]:
+    """The coefficients in the slots of nb bytes of 0 <= v < 2^(8*nb*slots)."""
+    raw, from_bytes = v.to_bytes(nb * slots, "little"), int.from_bytes
+    return [from_bytes(raw[k:k + nb], "little") for k in range(0, nb * slots, nb)]
+
+
 def _power_chain(fixed: List[int], links: int, order: int) -> Iterator[Tuple[List[int], int]]:
     """(fixed^l through z^order, its slot bytes) for l = 2..links + 1.
 
@@ -205,7 +167,6 @@ def _power_chain(fixed: List[int], links: int, order: int) -> Iterator[Tuple[Lis
     """
     slots = order + 1
     fixed_max = list(accumulate(fixed, max))[::-1]
-    from_bytes = int.from_bytes
     x, packed_nb = fixed, 0
     for _ in range(links):
         width = (sum(map(int.__mul__, x, fixed_max)).bit_length() + 7) >> 3
@@ -214,31 +175,43 @@ def _power_chain(fixed: List[int], links: int, order: int) -> Iterator[Tuple[Lis
             pf = _pack(fixed, width)
             px = pf if x is fixed else _pack(x, width)
         px = px * pf & mask
-        raw = px.to_bytes(width * slots, "little")
-        x = [from_bytes(raw[k:k + width], "little") for k in range(0, width * slots, width)]
+        x = _unpack(px, width, slots)
         yield x, width
+
+
+def _weigh(weight: List[int], powers: List[List[int]], order: int) -> List[List[int]]:
+    """weight*p through z^order for each power p >= 0; a signed weight is lifted by an offset."""
+    k = max(0, -min(weight))
+    lifted = [w + k for w in weight]
+    lifted_max = list(accumulate(lifted, max))[::-1]
+    slots = order + 1
+    out = []
+    for p in powers:
+        top = max(sum(map(int.__mul__, p, lifted_max)), lifted_max[0], max(p), 1)
+        nb = (top.bit_length() + 7) >> 3
+        wp = _unpack(_pack(lifted, nb) * _pack(p, nb) & ((1 << 8 * nb * slots) - 1), nb, slots)
+        out.append([c - k * t for c, t in zip(wp, accumulate(p))] if k else wp)
+    return out
 
 
 def _lagrange(phi: List[int], max_n: int, weight: Optional[List[int]] = None) -> List[int]:
     """[0, c_1, ..., c_max_n] with n*c_n = [z^(n-1)] weight(z) phi(z)^n.
 
     By Lagrange-Buermann these are the coefficients of H(y) with H' = weight
-    (default 1, so H(z) = z) and y = x*phi(y); phi holds phi_0..phi_(max_n-1),
-    with phi_0 = 1 and every phi_k >= 0 (ArithmeticError otherwise).  Writing
-    n = i*B + j with 0 <= j < B and B = isqrt(max_n - 1) + 1, c_n is the dot
-    product of phi^(iB) and weight*phi^j up to z^(n-1).  The baby powers
-    phi^2..phi^B are one packed chain of products by phi, the giant powers
-    phi^(2B), phi^(3B), ... one of products by phi^B, each link at the width
-    of its own bound (`_power_chain`).  Each power is unpacked once, for the
-    dot products.  With a weight, B truncated multiplications (`_mul_trunc`)
-    form weight*phi^j.
+    (default 1, so H(z) = z) and y = x*phi(y); phi and weight hold their
+    coefficients 0..max_n-1, with phi_0 = 1 and every phi_k >= 0
+    (ArithmeticError otherwise).  Writing n = i*B + j with 0 <= j < B and
+    B = isqrt(max_n - 1) + 1, c_n is the dot product of phi^(iB) and
+    weight*phi^j up to z^(n-1).  The baby powers phi^2..phi^B and the giant
+    powers phi^(2B), phi^(3B), ... are two packed chains (`_power_chain`), and
+    `_weigh` forms weight*phi^j, B more packed products.
     """
     order = max_n - 1
     if phi[0] != 1 or min(phi) < 0:
         raise ArithmeticError("the packed power chains need phi_0 = 1 and phi >= 0")
     step = isqrt(order) + 1
     baby = [[1] + [0] * order, phi] + [p for p, _ in _power_chain(phi, step - 1, order)]
-    inner = baby if weight is None else [_mul_trunc(weight, p, order) for p in baby[:step]]
+    inner = baby if weight is None else _weigh(weight, baby[:step], order)
     giants = _power_chain(baby[step], max_n // step - 1, order)
     giant = baby[0]
     c = [0] * (max_n + 1)
@@ -290,7 +263,7 @@ def _revert_by_extraction(d: int, max_n: int) -> List[int]:
     s(1) = 1 and s(n) = -sum_{k=2}^{n} mu_d(k) [x^n] y^k using only earlier
     coefficients ([x^n] y^k never involves s(n) for k >= 2).  Quartic-time;
     used as a cross-check at moderate orders.  Its products are the schoolbook
-    ones of `_mul_school`, so it shares no arithmetic with `_mul_trunc`.
+    ones of `_mul_school`, so it shares no arithmetic with the packed products.
     """
     mu = mobius_d_values(d, max_n)
     y = [0] * (max_n + 1)

@@ -199,6 +199,16 @@ def test_enum_necs_requires_dimension_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enum", "necs", "--n", "0"], "--n must be >= 1, got 0"),
+    (["enum", "decomp", "--d", "2", "--n", "-1"], "--n must be >= 1, got -1"),
+    (["enum", "trees", "--d", "0", "--n", "3"], "--d must be >= 1, got 0"),
+])
+def test_enum_errors_name_the_option(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"cubedecomp: error: {message}\n")
+
+
 def test_phi_command(tmp_path, capsys):
     payload = {
         "d": 1,
@@ -651,6 +661,14 @@ def test_memory_error_exits_three_with_one_line(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == "cubedecomp: out of memory; try a smaller size\n"
+
+
+def test_arithmetic_error_exits_one_with_one_line(capsys, monkeypatch):
+    # a phi < 0, which the packed chains of _lagrange refuse
+    from cubedecomp import series
+
+    monkeypatch.setattr(series, "auxiliary_counts", lambda d, n: [1, -1] + [1] * (n - 1))
+    one_line_error(capsys, ["seq", "sd", "--d", "2", "--max-n", "5"])
 
 
 README_EXAMPLES = re.findall(

@@ -1,6 +1,7 @@
 """Truncated integer series, series reversion, and the counting tables."""
 
 import math
+from operator import sub
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from cubedecomp.number_theory import mobius_d_values
 from cubedecomp.series import (
     TruncatedSeries,
     _mul_school,
-    _mul_trunc,
     _revert_by_extraction,
     auxiliary_counts,
     decomposition_counts,
@@ -52,51 +52,76 @@ def test_ring_ops_are_componentwise_consistent(a, b):
 @given(short_series, short_series, short_series)
 def test_multiplication_distributes(a, b, c):
     n = min(a.order, b.order, c.order)
-    b_plus_c = [u + v for u, v in zip(b.coeffs, c.coeffs)]
-    lhs = _mul_trunc(a.coeffs, b_plus_c, n)
-    ab, ac = _mul_trunc(a.coeffs, b.coeffs, n), _mul_trunc(a.coeffs, c.coeffs, n)
-    rhs = [u + v for u, v in zip(ab, ac)]
-    assert lhs == rhs
+    b_plus_c = series_from_list([u + v for u, v in zip(b.coeffs, c.coeffs)])
+    rhs = [u + v for u, v in zip((a * b).coeffs, (a * c).coeffs)]
+    assert list((a * b_plus_c).coeffs) == rhs[:n + 1]
 
 
-# Signed coefficients of 0 to 3000 bits, sizes mixed within one operand.
-wide_coefficient = st.integers(min_value=0, max_value=3000).flatmap(
-    lambda bits: st.integers(min_value=-(1 << bits), max_value=1 << bits))
-wide_operand = st.one_of(
-    st.lists(wide_coefficient, max_size=24),
-    st.lists(st.just(0), min_size=1, max_size=8),
-    st.lists(wide_coefficient, min_size=1, max_size=1),
-)
+# Coefficients of 0 to 3000 bits, sizes mixed within one operand.
+wide_bits = st.integers(min_value=0, max_value=3000)
+wide_signed = wide_bits.flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+wide_nonnegative = wide_bits.flatmap(lambda bits: st.integers(0, 1 << bits))
 
 
-@given(wide_operand, wide_operand, st.integers(min_value=0, max_value=60))
-def test_kronecker_product_matches_the_schoolbook_product(a, b, order):
-    # order runs below, at and beyond the operand lengths
-    assert _mul_trunc(a, b, order) == _mul_school(a, b, order)
-    assert _mul_trunc(tuple(b), tuple(a), order) == _mul_school(b, a, order)
+@st.composite
+def weighted_operands(draw):
+    """(weight, powers, order): a signed weight and powers >= 0, all of order + 1 terms."""
+    order = draw(st.integers(min_value=0, max_value=30))
+    slots = st.lists(wide_signed, min_size=order + 1, max_size=order + 1)
+    weight = draw(st.one_of(
+        slots,
+        st.just([0] * (order + 1)),
+        # one term, weight_0 = 0 when it is not the first: refined_counts at max_n < 2P
+        st.tuples(st.integers(min_value=0, max_value=order), wide_signed).map(
+            lambda t: [0] * t[0] + [t[1]] + [0] * (order - t[0]))))
+    power = st.one_of(
+        st.lists(wide_nonnegative, min_size=order + 1, max_size=order + 1),
+        st.just([0] * (order + 1)),
+        st.lists(wide_nonnegative, min_size=order, max_size=order).map(lambda t: [1] + t))
+    return weight, draw(st.lists(power, min_size=1, max_size=4)), order
 
 
-@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, -1)])
-def test_kronecker_product_at_the_slot_bound(sign_a, sign_b):
-    # Equal coefficients 2^k - 1 of one sign bring |p_k| closest to the slot
-    # bound; the bit sizes cover every residue of the width mod 8, so a slot
-    # one bit narrower than the bound overflows in some case here.
+@given(weighted_operands())
+def test_weighted_product_matches_the_schoolbook_product(operands):
+    weight, powers, order = operands
+    assert series._weigh(weight, powers, order) == [_mul_school(weight, p, order) for p in powers]
+
+
+# weights of each shape for one top value t: all terms at the bound, signed
+# (lifted by an offset, or to zero), and one term past z^0, where the bound D
+# falls below the power's own top coefficient
+WEIGHT_SHAPES = {
+    "full": lambda t, order: [[t] * (order + 1)],
+    "signed": lambda t, order: [[(-1) ** i * t for i in range(order + 1)], [-t] * (order + 1)],
+    "one-term": lambda t, order: [[0] * order + [t], [0] * order + [-t], [0] * order + [1]],
+}
+
+
+@pytest.mark.parametrize("shape", WEIGHT_SHAPES)
+def test_weighted_product_at_the_slot_bound(shape):
+    # Equal coefficients 2^k - 1 bring the lifted product closest to its bound D;
+    # the bit sizes cover every residue of the width mod 8, so a slot one bit
+    # narrower than the bound overflows in some case here.
     for bits in range(1, 41):
         for length in range(1, 10):
-            a = [sign_a * ((1 << bits) - 1)] * length
-            b = [sign_b * ((1 << (bits + length % 3)) - 1)] * length
-            for order in (length - 1, 2 * length - 2, 2 * length):
-                assert _mul_trunc(a, b, order) == _mul_school(a, b, order), (bits, length)
+            order = length - 1
+            power = [1] + [(1 << (bits + length % 3)) - 1] * order
+            for weight in WEIGHT_SHAPES[shape]((1 << bits) - 1, order):
+                expected = _mul_school(weight, power, order)
+                assert series._weigh(weight, [power], order) == [expected], (bits, length)
 
 
 def test_extraction_oracle_does_not_use_the_fast_product(monkeypatch):
+    # the extraction route and TruncatedSeries.compose check the packed path
     expected = decomposition_counts(2, 12)
+    inverse = decomposition_series(2, 12)
 
     def refuse(*args):
-        raise AssertionError("the oracle called _mul_trunc")
+        raise AssertionError("an oracle packed a product")
 
-    monkeypatch.setattr(series, "_mul_trunc", refuse)
+    monkeypatch.setattr(series, "_pack", refuse)
     assert _revert_by_extraction(2, 12) == expected
+    assert mobius_series(2, 12).compose(inverse).coeffs == (0, 1) + (0,) * 11
 
 
 def test_coefficient_bounds_checked():
@@ -188,7 +213,7 @@ def test_every_chain_power_fits_its_slot_width(monkeypatch, d, max_n):
     for fixed, powers in chains:
         power = fixed
         for got, nb in powers:
-            power = _mul_trunc(power, fixed, order)
+            power = _mul_school(power, fixed, order)
             assert got == power
             assert nb == (max(power).bit_length() + 7) // 8
 
@@ -213,7 +238,7 @@ def test_auxiliary_counts_invert_mobius_series(d):
     # (M_d(z)/z) * (z/M_d(z)) = 1 through z^N
     for order in (0, 1, 2, 3, 60, 300):
         m_over_z = mobius_d_values(d, order + 1)[1:]
-        assert _mul_trunc(m_over_z, auxiliary_counts(d, order), order) == [1] + [0] * order
+        assert _mul_school(m_over_z, auxiliary_counts(d, order), order) == [1] + [0] * order
 
 
 def _auxiliary_counts_by_value(d, max_n):
@@ -244,6 +269,24 @@ def test_auxiliary_counts_are_positive_and_nondecreasing():
         a = auxiliary_counts(d, 60)
         assert all(v > 0 for v in a)
         assert all(a[n + 1] >= a[n] for n in range(60))
+
+
+def test_auxiliary_counts_are_binomial_sums_of_nonnegative_terms():
+    # a_d(n) is a polynomial in d of degree <= n, so a_d(n) = sum_k C(d, k) f_k(n)
+    # with f_k(n) = sum_j (-1)^(k-j) C(k, j) a_j(n), the k-th forward difference
+    # at j = 0 (a_0(n) = [n = 0]).  f_k(n) >= 0 for k <= n then gives phi >= 0,
+    # the precondition of the packed chains, for every d through z^top.
+    top = 200
+    rows = [[1] + [0] * top] + [auxiliary_counts(j, top) for j in range(1, top + 2)]
+    a_1 = rows[1]
+    for k in range(top + 2):
+        f = rows[0]  # f_k(0..top)
+        assert all(v == 0 for v in f[:k]) and all(v >= 0 for v in f[k:]), k
+        if k <= top:
+            assert f[k] == math.factorial(k)
+        if k == 1:
+            assert f[1:] == a_1[1:]
+        rows = [list(map(sub, b, a)) for a, b in zip(rows, rows[1:])]
 
 
 def test_counts_grow_with_dimension():
