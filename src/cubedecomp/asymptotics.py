@@ -30,8 +30,13 @@ from array import array
 from functools import lru_cache
 from typing import Tuple
 
+from . import _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "log_asymptotic_estimate", "asymptotic_estimate", "check_growth_bounds")})
 
 DEFAULT_K = 6
 MAX_K = 16  # the table holds 2^k - 1 terms; k = 6..16 give bit-identical saddles
@@ -203,41 +208,3 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
         truncation_order=2 ** k,
         tail_bound_used=max(*tails, m_tail, m2_tail),
     )
-
-
-def log_asymptotic_estimate(d: int, n: int, saddle: SaddleResult | None = None) -> float:
-    """Natural log of the first-order saddle-point estimate of the n-th count.
-
-    log of n^(-3/2) M_d(s)^(1/2 - n) / sqrt(-2 pi M_d''(s)); usable far past
-    the n where the estimate itself leaves binary64 range.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if saddle is None:
-        saddle = find_saddle(d)
-    elif saddle.d != d:
-        raise ValueError(f"saddle is for d={saddle.d}, not d={d}")
-    return (-1.5 * math.log(n)
-            + (0.5 - n) * math.log(saddle.M_at_s)
-            - 0.5 * math.log(-2 * math.pi * saddle.M2_at_s))
-
-
-def asymptotic_estimate(d: int, n: int, saddle: SaddleResult | None = None) -> float:
-    """First-order saddle-point estimate of the n-th decomposition count.
-
-    Exponentiates log_asymptotic_estimate; returns inf if the value exceeds
-    binary64 range.
-    """
-    try:
-        return math.exp(log_asymptotic_estimate(d, n, saddle))
-    except OverflowError:
-        return math.inf
-
-
-def check_growth_bounds(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> bool:
-    """Whether K_d lies in [4d + 3/2, 4d + 3/2 + 1/(16d)]; defined for d >= 2 only."""
-    if d < 2:
-        raise ValueError(f"growth bounds are stated for d >= 2 only, got d={d}")
-    rate = find_saddle(d, tol=tol, k=k).growth_rate
-    lower = 4 * d + 1.5
-    return lower <= rate <= lower + 1 / (16 * d)

@@ -33,17 +33,12 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .asymptotics import MAX_K, find_saddle
-from .covering import Necs, enumerate_necs, necs_lcm, necs_to_json_dict, phi
-from .geometry import (
-    Decomposition,
-    decomposition_from_json_dict,
-    decomposition_to_json_dict,
-    enumerate_decompositions,
-)
+from .covering import Necs, necs_lcm, necs_to_json_dict, phi
+from .geometry import Decomposition, decomposition_from_json_dict, decomposition_to_json_dict
 from .lcm_counts import g_count, h_count
 from .number_theory import _mobius_d_segment
 from .series import auxiliary_counts, decomposition_counts, refined_counts
-from .trees import enumerate_trees, format_tree, parse_tree, psi, tree_counts, tree_from_json
+from .trees import parse_tree, psi, tree_counts
 
 SCHEMA = "cubedecomp.v1"
 ENUM_CAP = 100_000
@@ -156,7 +151,16 @@ def _necs_text(system: Necs) -> str:
     return " ".join(f"{c.a}({c.n})" for c in system.classes)
 
 
+def _check_bounds(*bounds: Tuple[str, int, int]) -> None:
+    """Raise ValueError naming the first option (flag, value, least) below its least value."""
+    for flag, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _check_max_n(kind: str, args) -> None:
+    """--d >= 1, and --max-n from the table's first n (0 for ad, else 1) to its cap."""
+    _check_bounds(("--d", args.d, 1), ("--max-n", args.max_n, 0 if kind == "ad" else 1))
     cap = MAX_N_CAPS[kind]
     if args.max_n > cap and not args.allow_large:
         raise _ResourceCap(f"--max-n {args.max_n} exceeds cap {cap} for {kind}")
@@ -209,10 +213,12 @@ def _cmd_refined(args) -> int:
 
 
 def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callable[[object], str]]:
+    from .covering import enumerate_necs  # these three load _oracles, which tables never do
+    from .geometry import enumerate_decompositions
+    from .trees import enumerate_trees, format_tree
+
     d, n = args.d, args.n
-    for flag, value in (("--d", d), ("--n", n)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    _check_bounds(("--d", d, 1), ("--n", n, 1))
     if args.target == "necs" and d != 1:
         raise ValueError("covering systems are one-dimensional; use --d 1")
     if args.target == "trees":
@@ -271,7 +277,12 @@ def _cmd_psi(args) -> int:
         raise ValueError(f"malformed psi input: missing field {exc}") from None
     if type(d) is not int:
         raise ValueError(f"psi needs an integer d, got {d!r}")
-    tree = parse_tree(raw) if isinstance(raw, str) else tree_from_json(raw)
+    if isinstance(raw, str):
+        tree = parse_tree(raw)
+    else:
+        from .trees import tree_from_json  # loads _oracles, which the text form does not
+
+        tree = tree_from_json(raw)
     dec = psi(tree, d)
     _emit(args.format, _decomposition_text(dec), "psi", {"in": args.infile}, "recursion",
           decomposition_to_json_dict(dec))

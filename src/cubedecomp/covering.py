@@ -13,10 +13,15 @@ preserves the componentwise gcd and lcm of the two worlds.
 """
 
 from math import gcd as _gcd, lcm as _lcm
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import List, NamedTuple, Tuple
 
-from . import geometry
+from . import _on_first_use, geometry
 from ._frozen import Frozen
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "make_class", "trivial_necs", "split_class", "split_necs", "classes_intersect",
+        "is_exact_cover", "necs_from_json_dict", "enumerate_necs_up_to", "enumerate_necs")})
 
 
 class ResidueClass(NamedTuple):
@@ -39,76 +44,12 @@ class Necs(Frozen):
         return iter(self.classes)
 
 
-def make_class(a: int, n: int) -> ResidueClass:
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    return ResidueClass(a % n, n)
-
-
-def trivial_necs() -> Necs:
-    return Necs((ResidueClass(0, 1),))
-
-
-def split_class(c: ResidueClass, r: int) -> Tuple[ResidueClass, ...]:
-    """The r classes a + i*n mod r*n partitioning a mod n."""
-    if r < 2:
-        raise ValueError(f"split arity must be >= 2, got {r}")
-    return tuple(ResidueClass(i * c.n + c.a, r * c.n) for i in range(r))
-
-
-def split_necs(system: Necs, c: ResidueClass, r: int) -> Necs:
-    if c not in system.classes:
-        raise ValueError("class is not part of the system")
-    rest = tuple(x for x in system.classes if x != c)
-    return Necs(rest + split_class(c, r))
-
-
-def classes_intersect(c1: ResidueClass, c2: ResidueClass) -> bool:
-    """CRT: a mod n and b mod m share an integer iff a = b mod gcd(n, m)."""
-    return (c1.a - c2.a) % _gcd(c1.n, c2.n) == 0
-
-
-def is_exact_cover(classes: Tuple[ResidueClass, ...]) -> bool:
-    """Pairwise disjoint and densities summing to 1 (hence a partition of Z)."""
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if classes_intersect(classes[i], classes[j]):
-                return False
-    from fractions import Fraction
-
-    return sum(Fraction(1, c.n) for c in classes) == 1
-
-
 def necs_gcd(system: Necs) -> int:
     return _gcd(*(c.n for c in system.classes)) if system.classes else 1
 
 
 def necs_lcm(system: Necs) -> int:
     return _lcm(*(c.n for c in system.classes)) if system.classes else 1
-
-
-def enumerate_necs_up_to(max_m: int) -> Dict[int, Set[Necs]]:
-    """All natural exact covering systems with at most max_m classes, by size.
-
-    Brute-force oracle mirroring the decomposition enumerator: closure of
-    {0 mod 1} under single-class splits, deduplicated canonically.
-    """
-    levels: Dict[int, Set[Necs]] = {m: set() for m in range(1, max_m + 1)}
-    levels[1].add(trivial_necs())
-    for m in range(1, max_m):
-        for system in levels[m]:
-            for idx, c in enumerate(system.classes):
-                rest = system.classes[:idx] + system.classes[idx + 1:]
-                for r in range(2, max_m - m + 2):
-                    levels[m + r - 1].add(Necs(rest + split_class(c, r)))
-    return levels
-
-
-def enumerate_necs(m: int) -> Set[Necs]:
-    """The set C_m of natural exact covering systems with exactly m classes."""
-    if m < 1:
-        raise ValueError(f"class count must be >= 1, got {m}")
-    return enumerate_necs_up_to(m)[m]
 
 
 def phi(dec: "geometry.Decomposition") -> Necs:
@@ -144,22 +85,3 @@ def phi(dec: "geometry.Decomposition") -> Necs:
 
 def necs_to_json_dict(system: Necs) -> dict:
     return {"classes": [{"a": c.a, "n": c.n} for c in system.classes]}
-
-
-def necs_from_json_dict(data: dict) -> Necs:
-    """Inverse of necs_to_json_dict; raises ValueError on a malformed shape, a
-    missing field, an a or n that is not a JSON integer, and on classes that do
-    not partition the integers."""
-    try:
-        pairs = [(c["a"], c["n"]) for c in data["classes"]]
-    except TypeError as exc:
-        raise ValueError(f"malformed covering system JSON: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"malformed covering system JSON: missing field {exc}") from None
-    bad = [x for pair in pairs for x in pair if type(x) is not int]  # a bool, or 2.9
-    if bad:
-        raise ValueError(f"a covering system needs integer a and n, got {bad[0]!r}")
-    classes = tuple(make_class(a, n) for a, n in pairs)
-    if not is_exact_cover(classes):
-        raise ValueError("the classes are not an exact covering system")
-    return Necs(classes)

@@ -35,11 +35,17 @@ Key structural facts used here:
     gcd grid's entry.
 """
 
-from itertools import product
-from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from . import _on_first_use
 from ._frozen import Frozen
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "trivial_decomposition", "grid_decomposition", "refines_grid", "unit_region", "split",
+        "split_decomposition", "region_contains", "scale_map", "volume", "restrict_rescale",
+        "enumerate_decompositions_up_to", "enumerate_decompositions")})
 
 Region = Tuple[Tuple["Fraction", "Fraction"], ...]
 Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc
@@ -105,105 +111,9 @@ def _form(d: int, regions: List[List[Tuple[Tuple[int, int], Tuple[int, int]]]]) 
     return tuple(Ls), tuple(sorted(zip(*columns)))
 
 
-def unit_region(d: int) -> Region:
-    from fractions import Fraction
-
-    return ((Fraction(0), Fraction(1)),) * d
-
-
-def trivial_decomposition(d: int) -> Decomposition:
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return _decomposition(d, (1,) * d, ((0, 1) * d,))
-
-
-def _check_split(axis: int, arity: int, d: int) -> None:
-    if arity < 2:
-        raise ValueError(f"arity must be >= 2, got {arity}")
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for dimension {d}")
-
-
-def split(region: Region, axis: int, arity: int) -> Tuple[Region, ...]:
-    """Split a region into `arity` equal open slabs along `axis` (0-based).
-
-    Cut points are lo + j*(hi-lo)/arity for j = 1..arity-1; slabs come back in
-    ascending order along the axis.
-    """
-    _check_split(axis, arity, len(region))
-    lo, hi = region[axis]
-    step = (hi - lo) / arity
-    parts = []
-    for j in range(arity):
-        iv = (lo + j * step, lo + (j + 1) * step)
-        parts.append(region[:axis] + (iv,) + region[axis + 1:])
-    return tuple(parts)
-
-
-def split_decomposition(dec: Decomposition, region: Region, axis: int, arity: int) -> Decomposition:
-    """Replace one region of dec by its arity-fold split along axis."""
-    if region not in dec.regions:
-        raise ValueError("region is not part of the decomposition")
-    _check_split(axis, arity, dec.d)
-    i = dec.regions.index(region)
-    rest = dec.grid[:i] + dec.grid[i + 1:]
-    return _decomposition(dec.d, *_split_form(dec.Ls, rest, dec.grid[i], axis, arity))
-
-
-def _split_form(Ls: Tuple[int, ...], rest: Tuple[Tuple[int, ...], ...], reg: Tuple[int, ...],
-                axis: int, arity: int) -> Grid:
-    """The form of rest and the arity slabs of reg along axis, (Ls, rest + (reg,)) being
-    canonical.  Scaling the axis by s = arity / gcd(arity, hi - lo) makes the cuts
-    integers, and its gcd stays 1: the old endpoints share s with s L_i, and the
-    first cut is prime to s."""
-    i = 2 * axis
-    lo, hi = reg[i], reg[i + 1]
-    g = gcd(arity, hi - lo)
-    s, w = arity // g, (hi - lo) // g
-    if s > 1:
-        rest = [x[:i] + (x[i] * s, x[i + 1] * s) + x[i + 2:] for x in rest]
-        Ls = Ls[:axis] + (Ls[axis] * s,) + Ls[axis + 1:]
-    slabs = [reg[:i] + (lo * s + j * w, lo * s + j * w + w) + reg[i + 2:] for j in range(arity)]
-    return Ls, tuple(sorted([*rest, *slabs]))
-
-
-def grid_decomposition(r: Tuple[int, ...]) -> Decomposition:
-    """The grid decomposition D_r with r_i equal slabs along axis i."""
-    if any(ri < 1 for ri in r):
-        raise ValueError(f"grid arities must be >= 1, got {r}")
-    cells = product(*[[(j, j + 1) for j in range(ri)] for ri in r])
-    return _decomposition(len(r), tuple(r), tuple(sum(cell, ()) for cell in cells))
-
-
-def region_contains(outer: Region, inner: Region) -> bool:
-    """Closure containment of open boxes: inner subset of outer."""
-    return all(a <= c and d_ <= b for (a, b), (c, d_) in zip(outer, inner))
-
-
 def regions_overlap(r1: Region, r2: Region) -> bool:
     """Whether two open boxes intersect."""
     return all(max(a, c) < min(b, d_) for (a, b), (c, d_) in zip(r1, r2))
-
-
-def scale_map(src: Region, dst: Region, region: Region) -> Region:
-    """Image of region under the affine map taking box src onto box dst.
-
-    region must lie inside src.
-    """
-    if not region_contains(src, region):
-        raise ValueError("region does not lie inside the source box")
-    out = []
-    for (a, b), (a2, b2), (lo, hi) in zip(src, dst, region):
-        scale = (b2 - a2) / (b - a)
-        out.append((a2 + scale * (lo - a), a2 + scale * (hi - a)))
-    return tuple(out)
-
-
-def volume(dec: Decomposition) -> "Fraction":
-    from fractions import Fraction
-
-    return Fraction(sum(prod(hi - lo for lo, hi in zip(reg[::2], reg[1::2])) for reg in dec.grid),
-                    prod(dec.Ls))
 
 
 # ------------------------------------------------------------ integer-grid kernel
@@ -297,26 +207,6 @@ def is_split_generated(dec: Decomposition) -> bool:
     return _gcd((dec.Ls, dec.grid)) is not None
 
 
-def refines_grid(dec: Decomposition, r: Tuple[int, ...]) -> bool:
-    """Whether dec refines D_r in the split order.
-
-    True iff each grid cell contains whole regions only and its restriction,
-    rescaled to the unit cube, is split-generated.  Cells are cut axis by axis
-    on the integer grid form; their verdicts use the memo of the gcd search.
-    """
-    if len(r) != dec.d:
-        raise ValueError(f"grid vector has length {len(r)}, expected {dec.d}")
-    if any(ri < 1 for ri in r):
-        raise ValueError(f"grid arities must be >= 1, got {r}")
-    grids = [(dec.Ls, dec.grid)]
-    for axis, ri in enumerate(r):
-        cells = [_cells(g, axis, ri) for g in grids]
-        if None in cells:
-            return False
-        grids = [cell for cs in cells for cell in cs]
-    return all(_gcd(cell) is not None for cell in grids)
-
-
 def lcm_of(dec: Decomposition) -> Tuple[int, ...]:
     """Componentwise-minimal grid refining dec: lcm of endpoint denominators.
 
@@ -338,49 +228,6 @@ def gcd_of(dec: Decomposition) -> Tuple[int, ...]:
     if record is None:
         raise ValueError("the regions are not a split-generated decomposition")
     return record[0]
-
-
-def restrict_rescale(dec: Decomposition, cell: Region) -> Decomposition:
-    """Regions of dec inside cell, rescaled to a decomposition of the unit cube.
-
-    Raises if any region straddles the cell boundary.
-    """
-    unit = unit_region(dec.d)
-    inside = []
-    for reg in dec.regions:
-        if region_contains(cell, reg):
-            inside.append(scale_map(cell, unit, reg))
-        elif regions_overlap(cell, reg):
-            raise ValueError("a region straddles the cell boundary")
-    return Decomposition(dec.d, tuple(inside))
-
-
-def enumerate_decompositions_up_to(d: int, max_n: int) -> Dict[int, Set[Decomposition]]:
-    """All decompositions with at most max_n regions, keyed by region count.
-
-    Brute-force oracle: breadth-first closure of the trivial decomposition
-    under single-region splits of the canonical form (L, grid), which also
-    deduplicates; the gcd search is never asked.  A split of arity p adds p-1
-    regions, so from a level-m decomposition arity is capped at max_n - m + 1.
-    """
-    start = trivial_decomposition(d)
-    levels: Dict[int, Set[Grid]] = {m: set() for m in range(1, max_n + 1)}
-    levels[1].add((start.Ls, start.grid))
-    for m in range(1, max_n):
-        for Ls, grid in levels[m]:
-            for idx, reg in enumerate(grid):
-                rest = grid[:idx] + grid[idx + 1:]
-                for axis in range(d):
-                    for arity in range(2, max_n - m + 2):
-                        levels[m + arity - 1].add(_split_form(Ls, rest, reg, axis, arity))
-    return {m: {_decomposition(d, *form) for form in forms} for m, forms in levels.items()}
-
-
-def enumerate_decompositions(d: int, n: int) -> Set[Decomposition]:
-    """The set S_{d,n} of decompositions with exactly n regions."""
-    if n < 1:
-        raise ValueError(f"region count must be >= 1, got {n}")
-    return enumerate_decompositions_up_to(d, n)[n]
 
 
 def decomposition_to_json_dict(dec: Decomposition) -> dict:

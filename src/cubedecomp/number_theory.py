@@ -26,6 +26,12 @@ from itertools import chain, compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterator, List, Tuple
 
+from . import _on_first_use
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "dirichlet_convolve", "mobius_d_by_convolution", "divisors")})
+
 
 _PRIME_BLOCK = 1 << 18  # the least block of _primes; 2^13 ran twice as slow at n = 10^7
 
@@ -144,7 +150,8 @@ def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
     Blocks of max(2^13, isqrt(hi)) values go one at a time: each multiple of p^m swaps
     its factor mu_d(p^(m-1)) for mu_d(p^m) = (-1)^m C(d, m) (exact while m <= d, and 0
     from m = d + 1) and its found part takes a p.  An n whose found part falls short of n
-    has one prime factor above the block's square root: factor -d.
+    has one prime factor above the block's square root: factor -d.  The sieving primes
+    are the held ones (`_PRIMES`) while that root is at most B, and `_primes(root)` above.
     """
     if lo < 1:
         raise ValueError(f"mu is defined for n >= 1, got {lo}")
@@ -154,7 +161,10 @@ def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
     for start in range(lo, hi + 1, size):
         width = min(size, hi - start + 1)
         values, found = [1] * width, [1] * width
-        for p in _primes(isqrt(start + width - 1)):
+        root = isqrt(start + width - 1)
+        for p in _PRIMES if root <= _BOUND else _primes(root):
+            if p > root:
+                break
             q, prev = p, 1
             for m in range(1, d + 2):
                 s = -start % q  # the offset of the first multiple of p^m in the block
@@ -171,49 +181,6 @@ def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
 def mobius_d_values(d: int, max_n: int) -> List[int]:
     """[0, mu_d(1), ..., mu_d(max_n)] as a dense list (slot 0 unused): the segment [1, max_n]."""
     return [0, *_mobius_d_segment(d, 1, max_n)]
-
-
-def dirichlet_convolve(a: List[int], b: List[int]) -> List[int]:
-    """Dirichlet convolution (a*b)(n) = sum_{ij=n} a(i)b(j) of dense 1-indexed lists.
-
-    Inputs must have equal length; slot 0 is ignored and zero in the output.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    max_n = len(a) - 1
-    out = [0] * (max_n + 1)
-    for i in range(1, max_n + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(1, max_n // i + 1):
-            if b[j] != 0:
-                out[i * j] += ai * b[j]
-    return out
-
-
-def mobius_d_by_convolution(d: int, max_n: int) -> List[int]:
-    """mu_d via d-fold self-convolution of mu; the independent slow route."""
-    if d < 0:
-        raise ValueError(f"requires d >= 0, got {d}")
-    delta = [0] * (max_n + 1)
-    if max_n >= 1:
-        delta[1] = 1
-    result, mu1 = delta, delta[:]
-    for k in range(1, max_n + 1):  # mu by sum_{k | n} mu(k) = [n = 1]: nothing is factored
-        for m in range(2 * k, max_n + 1, k):
-            mu1[m] -= mu1[k]
-    for _ in range(d):
-        result = dirichlet_convolve(result, mu1)
-    return result
-
-
-def divisors(n: int) -> List[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, m in factorize(n):
-        divs = [dv * p ** e for dv in divs for e in range(m + 1)]
-    return sorted(divs)
 
 
 def mobius_cached(n: int) -> int:

@@ -39,9 +39,15 @@ sequences on a stack of (weight left, sign so far) and builds no tuple.
 
 from itertools import combinations
 from math import prod
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
+from . import _on_first_use
 from .number_theory import factorize
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "first_even_set", "find_oar", "involution", "is_reduced", "enumerate_A_tilde",
+        "ratio_injection", "sequence_to_json", "sequence_from_json")})
 
 ColouredPrime = Tuple[int, int]          # (prime, colour)
 PrimeSet = Tuple[ColouredPrime, ...]     # sorted by (prime, colour)
@@ -146,120 +152,3 @@ def signed_sum(d: int, n: int) -> int:
         for s in signs[left]:
             total += sign * s
     return total
-
-
-def first_even_set(seq: PrimeSequence) -> Optional[int]:
-    """0-based index of the first even-sized set, or None."""
-    for i, s in enumerate(seq):
-        if len(s) % 2 == 0:
-            return i
-    return None
-
-
-def find_oar(seq: PrimeSequence) -> Optional[Tuple[int, int]]:
-    """Earliest odd-arity repetition run: (start, ell), 0-based start, or None.
-
-    A run starting at j needs A_j = {ell} a singleton prime, followed by
-    exactly ell copies of one odd-sized set whose elements all exceed A_j's
-    (prime, colour) as tuples.  Sets are sorted (see `PrimeSet`), so that
-    set's first element decides.
-    """
-    for j, s in enumerate(seq):
-        if len(s) == 1:
-            ell = s[0][0]
-            run = seq[j + 1:j + ell + 1]
-            if (len(run) == ell and len(run[0]) % 2 and run[0][0] > s[0]
-                    and run.count(run[0]) == ell):
-                return (j, ell)
-    return None
-
-
-def involution(seq: PrimeSequence) -> PrimeSequence:
-    """Weight-preserving, sign-reversing partner map on sequences that
-    contain an even set or an OAR run.
-
-    Whichever comes first wins:
-      * even set at i: remove its smallest (prime, colour) element p0 and
-        replace the set by ({p0}, then p0 copies of the remainder);
-      * OAR run at j with singleton value p0: replace the run's first two
-        sets by their union and drop the remaining p0 - 1 copies.
-
-    A true involution for d = 1.  For d >= 2 it is not: splitting an even
-    set can create overlapping OAR runs, letting two distinct sequences
-    map to the same image.  Smallest case d = 3, n = 5, where
-    ({2_1}, {2_2}, {2_2 2_3}) and ({2_1 2_2}, {2_3}, {2_3}) both map to
-    ({2_1}, {2_2}, {2_2}, {2_3}, {2_3}), whose partner is only the latter.
-    """
-    i = first_even_set(seq)
-    oar = find_oar(seq[:i])  # a run holds no even set, so it ends before seq[i]
-    if oar is not None:
-        j, ell = oar
-        return seq[:j] + (tuple(sorted(seq[j] + seq[j + 1])),) + seq[j + ell + 1:]
-    if i is None:
-        raise ValueError("sequence has no even set and no repetition run")
-    p0, remainder = seq[i][0], seq[i][1:]
-    return seq[:i] + ((p0,),) + (remainder,) * p0[0] + seq[i + 1:]
-
-
-def is_reduced(seq: PrimeSequence) -> bool:
-    """No even set and no OAR run: the sequences counted by a_d(n)."""
-    return first_even_set(seq) is None and find_oar(seq) is None
-
-
-def enumerate_A_tilde(d: int, n: int) -> List[PrimeSequence]:
-    """The reduced sequences of weight n, sorted.
-
-    For d = 1 the count equals a_1(n); for d >= 2 it can exceed a_d(n)
-    because the partner map orphans some non-reduced sequences (first at
-    d = 2, n = 7: 768 reduced vs a_2(7) = 766).  Every reduced sequence has
-    sign +1, and the surplus over a_d(n) is minus the signed count of the
-    orphans (at d = 2, n = 7: two orphans of sign -1).  It is not the orphan
-    count, which first differs at d = 2, n = 10 (112 orphans, surplus 108).
-    """
-    return sorted(seq for seq in iter_sequences(d, n) if is_reduced(seq))
-
-
-def ratio_injection(seq: PrimeSequence, colour: int) -> PrimeSequence:
-    """Inject a reduced weight-n sequence into the reduced weight-(n+1) set.
-
-    Appends {2_colour}, unless that completes an OAR run; then the two
-    copies of {2_colour} collapse into {3_colour} instead.  Only the tail
-    {2_c'}, {2_colour} with c' < colour can be completed (a longer run needs
-    elements above 2), so `find_oar` on those two sets and the new one decides.
-    """
-    new = ((2, colour),)
-    if find_oar(seq[-2:] + (new,)) is not None:
-        return seq[:-1] + (((3, colour),),)
-    return seq + (new,)
-
-
-def sequence_to_json(seq: PrimeSequence) -> list:
-    """Lists of lists of {"p": prime, "colour": colour}."""
-    return [[{"p": p, "colour": c} for p, c in s] for s in seq]
-
-
-def sequence_from_json(data: list) -> PrimeSequence:
-    """Inverse of sequence_to_json; raises ValueError on a malformed shape, a
-    missing field, a p or colour that is not a JSON integer, and on a set that
-    is not a coloured prime set: an empty set, a p that is not prime, a colour
-    below 1 or a repeated (p, colour).  Each p is checked by `factorize`, so a
-    huge p costs what factorize(p) costs."""
-    try:
-        sets = [[(e["p"], e["colour"]) for e in s] for s in data]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed prime sequence JSON: {exc!r}") from None
-    bad = [x for s in sets for pair in s for x in pair if type(x) is not int]  # a bool, or 2.9
-    if bad:
-        raise ValueError(f"a prime sequence needs integer p and colour, got {bad[0]!r}")
-    seq = tuple(tuple(sorted(s)) for s in sets)
-    for s in seq:
-        if not s:
-            raise ValueError("a prime sequence has no empty set")
-        for i, (p, c) in enumerate(s):
-            if p < 2 or factorize(p) != ((p, 1),):
-                raise ValueError(f"p = {p} is not a prime")
-            if c < 1:
-                raise ValueError(f"colour {c} of p = {p} is below 1")
-            if i and s[i - 1] == (p, c):
-                raise ValueError(f"the set {s} repeats ({p}, {c})")
-    return seq

@@ -21,8 +21,9 @@ about 2*sqrt(N) truncated multiplications in place of N, plus B for H'*phi^j.
 The auxiliary coefficients come from their O(N^2) recurrence with the terms
 grouped by the few values of mu_d: one big-integer addition per term whose
 mu_d is not the most frequent value.
-`_revert_by_extraction` is a slower independent scheme kept as a cross-check;
-it and `TruncatedSeries` multiply by schoolbook dot products (`_mul_school`).
+`_revert_by_extraction` (in `_oracles`, loaded on first use) is a slower
+independent scheme kept as a cross-check; it and `TruncatedSeries` multiply by
+schoolbook dot products (`_mul_school`).
 
 Every fast product packs nonnegative coefficients, coefficient k in slot k of
 nb bytes, into one int (`_pack`): one multiplication forms every coefficient,
@@ -51,8 +52,13 @@ from math import isqrt, prod
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "mobius_series", "decomposition_series", "_revert_by_extraction")})
 
 
 class TruncatedSeries(Frozen):
@@ -94,13 +100,6 @@ class TruncatedSeries(Frozen):
 
 def series_from_list(coeffs: Sequence[int]) -> TruncatedSeries:
     return TruncatedSeries(tuple(int(c) for c in coeffs))
-
-
-def mobius_series(d: int, order: int) -> TruncatedSeries:
-    """M_d(x) = sum mu_d(n) x^n through x^order."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return TruncatedSeries(tuple(mobius_d_values(d, order)))
 
 
 def auxiliary_counts(d: int, max_n: int) -> List[int]:
@@ -237,10 +236,6 @@ def decomposition_counts(d: int, max_n: int) -> List[int]:
     return _lagrange(auxiliary_counts(d, max_n - 1), max_n)
 
 
-def decomposition_series(d: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries(tuple(decomposition_counts(d, order)))
-
-
 def _mul_school(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
     """Coefficients 0..order of a*b, one dot product per coefficient."""
     la, lb = len(a), len(b)
@@ -255,29 +250,6 @@ def _mul_school(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
             # b[n-i] for i = lo..hi is the contiguous slice br[lb-1-n+lo : lb-1-n+hi+1]
             out.append(sum(map(int.__mul__, a[lo:hi + 1], br[lb - 1 - n + lo:lb - n + hi])))
     return out
-
-
-def _revert_by_extraction(d: int, max_n: int) -> List[int]:
-    """Independent reversion: iterative coefficient extraction.
-
-    s(1) = 1 and s(n) = -sum_{k=2}^{n} mu_d(k) [x^n] y^k using only earlier
-    coefficients ([x^n] y^k never involves s(n) for k >= 2).  Quartic-time;
-    used as a cross-check at moderate orders.  Its products are the schoolbook
-    ones of `_mul_school`, so it shares no arithmetic with the packed products.
-    """
-    mu = mobius_d_values(d, max_n)
-    y = [0] * (max_n + 1)
-    y[1] = 1
-    for n in range(2, max_n + 1):
-        # y[n] is still 0 here; harmless, since [x^n] y^k for k >= 2 never uses it.
-        p = _mul_school(y, y, n)
-        total = mu[2] * p[n]
-        for k in range(3, n + 1):
-            p = _mul_school(p, y, n)
-            if mu[k]:
-                total += mu[k] * p[n]
-        y[n] = -total
-    return y
 
 
 def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:

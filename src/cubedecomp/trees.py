@@ -16,37 +16,22 @@ Schroeder number (1, 1, 3, 11, 45, 197, ...).
 
 from __future__ import annotations
 
-from itertools import product
 from math import lcm
 from operator import add, mul
-from typing import Iterator, List, Set, Tuple, Union
+from typing import List, Tuple
 
+from . import _on_first_use
 from .geometry import Decomposition, _decomposition
 from .series import TruncatedSeries
+
+# Names that no table command or session call uses live in _oracles, loaded on first read.
+__getattr__ = _on_first_use(globals(), {"_oracles": (
+        "is_leaf", "leaf_count", "validate_tree", "format_tree", "tree_to_json", "tree_from_json",
+        "enumerate_trees")})
 
 PlaneTree = Tuple  # () for a leaf, (label, *children) otherwise
 
 LEAF: PlaneTree = ()
-
-
-def is_leaf(tree: PlaneTree) -> bool:
-    return len(tree) == 0
-
-
-def _preorder(tree) -> Iterator:
-    """The nodes in preorder from an explicit stack, in tuple or JSON form alike.
-
-    A node's children node[1:] (a leaf, () or "L", has none) are read only after
-    the caller has seen the node, so the caller may check it first."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node[1:]))
-
-
-def leaf_count(tree: PlaneTree) -> int:
-    return sum(map(is_leaf, _preorder(tree)))
 
 
 def _children(node, d: int):
@@ -57,43 +42,6 @@ def _children(node, d: int):
         if len(node) < 3:
             raise ValueError("internal node must have at least 2 children")
     return node[1:]
-
-
-def validate_tree(tree: PlaneTree, d: int) -> None:
-    """Raise ValueError unless every internal node has a label in 1..d and >= 2 children."""
-    for node in _preorder(tree):
-        _children(node, d)
-
-
-def _compositions(n: int, r: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered r-tuples of positive integers summing to n."""
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(1, n - r + 2):
-        for rest in _compositions(n - first, r - 1):
-            yield (first, *rest)
-
-
-def enumerate_trees(d: int, n: int) -> Set[PlaneTree]:
-    """All plane rooted trees with n leaves and internal labels in 1..d.
-
-    Built bottom-up: level k holds the trees with k leaves, made from a root
-    of arity r and the ordered subtrees of each composition of k into r
-    parts.  The levels live only as long as the call.
-    """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
-    levels: List[Tuple[PlaneTree, ...]] = [(), (LEAF,)]
-    for k in range(2, n + 1):
-        levels.append(tuple(
-            (label, *children)
-            for r in range(2, k + 1)
-            for parts in _compositions(k, r)
-            for children in product(*(levels[p] for p in parts))
-            for label in range(1, d + 1)
-        ))
-    return set(levels[n])
 
 
 def tree_counts(d: int, max_n: int) -> TruncatedSeries:
@@ -155,22 +103,6 @@ def psi(tree: PlaneTree, d: int) -> Decomposition:
     return _decomposition(d, Ls, tuple(sorted(zip(*ends))))
 
 
-def format_tree(tree: PlaneTree) -> str:
-    """Parenthesised text form: leaf is "L", internal is "(label child ...)"."""
-    words: List[str] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is None:  # pushed below the children of a node, so that node closes here
-            words[-1] += ")"
-        elif is_leaf(node):
-            words.append("L")
-        else:
-            words.append(f"({node[0]}")
-            stack += [None, *reversed(node[1:])]
-    return " ".join(words)
-
-
 def parse_tree(text: str) -> PlaneTree:
     """Inverse of format_tree; raises ValueError on malformed input.
 
@@ -200,33 +132,3 @@ def parse_tree(text: str) -> PlaneTree:
             return tree
         open_nodes[-1].append(tree)
     raise ValueError("missing ')'" if open_nodes else "unexpected end of input")
-
-
-def tree_to_json(tree: PlaneTree) -> Union[str, list]:
-    """JSON form: "L" for a leaf, [label, child, ...] for an internal node."""
-    root: list = []
-    stack = [(tree, root)]
-    while stack:  # each node's list is appended to its parent's, then filled
-        node, parent = stack.pop()
-        parent.append("L" if is_leaf(node) else [node[0]])
-        stack.extend((child, parent[-1]) for child in reversed(node[1:]))
-    return root[0]
-
-
-def tree_from_json(obj: Union[str, list]) -> PlaneTree:
-    """Inverse of tree_to_json; raises ValueError on the first malformed node in preorder."""
-    nodes = []
-    for node in _preorder(obj):
-        if node != "L" and not (isinstance(node, list) and len(node) >= 3
-                                and type(node[0]) is int):
-            raise ValueError(f"malformed tree JSON: {node!r}")
-        nodes.append(node)
-    built: List[PlaneTree] = []
-    for node in reversed(nodes):  # a node's children are then the last built, last first
-        if node == "L":
-            built.append(LEAF)
-        else:
-            children = built[1 - len(node):]
-            del built[1 - len(node):]
-            built.append((node[0], *reversed(children)))
-    return built[0]

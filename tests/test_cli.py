@@ -652,6 +652,40 @@ def test_allow_large_passes_the_max_n_cap(capsys, monkeypatch, argv, kind, compu
     assert calls == [cap, cap + 1]
 
 
+# Each table's --max-n starts at its first n (0 for ad, 1 for the others) and --d at 1;
+# cli checks both before it asks the library: (argv, the error line after "error: ").
+TABLE_BOUNDS = [
+    (["seq", "sd", "--d", "1", "--max-n", "0"], "--max-n must be >= 1, got 0"),
+    (["seq", "td", "--d", "1", "--max-n", "0"], "--max-n must be >= 1, got 0"),
+    (["seq", "ad", "--d", "1", "--max-n", "-1"], "--max-n must be >= 0, got -1"),
+    (["refined", "--d", "1", "--r", "2", "--max-n", "0"], "--max-n must be >= 1, got 0"),
+    (["seq", "sd", "--d", "0", "--max-n", "3"], "--d must be >= 1, got 0"),
+    (["seq", "td", "--d", "-1", "--max-n", "3"], "--d must be >= 1, got -1"),
+    (["seq", "ad", "--d", "0", "--max-n", "3"], "--d must be >= 1, got 0"),
+    (["refined", "--d", "0", "--r", "2", "--max-n", "3"], "--d must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", TABLE_BOUNDS,
+                         ids=[" ".join(argv) for argv, _ in TABLE_BOUNDS])
+def test_table_bounds_name_the_option_before_computing(capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("the library was asked before the bounds were checked")
+
+    for _, _, compute in TABLE_CAPS:
+        monkeypatch.setattr(cli, compute, refuse)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"cubedecomp: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, kind, compute", TABLE_CAPS)
+def test_each_table_runs_at_its_least_max_n(capsys, argv, kind, compute):
+    code, out = run(capsys, *argv, "--max-n", "0" if kind == "ad" else "1", "--format", "csv")
+    assert code == 0 and out.strip().isdigit()  # one value: n = 0 for ad, n = 1 otherwise
+
+
 def test_memory_error_exits_three_with_one_line(capsys, monkeypatch):
     def exhaust(*args):
         raise MemoryError
@@ -707,16 +741,19 @@ def test_csv_values_beyond_the_int_digit_limit_and_the_limit_comes_back(capsys):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # each costs start-up time on every command, and so do fractions (with decimal)
-    # and the verify suites, which no table command uses; compare with what the
-    # interpreter (and any site hook) had loaded already
-    code = ("import sys; before = set(sys.modules); import cubedecomp.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', "
-            "'cubedecomp._verify'} & (set(sys.modules) - before)))")
+    # each costs start-up time on every command, and so do fractions (with decimal),
+    # the verify suites and the oracles, which no table command uses; compare with what
+    # the interpreter (and any site hook) had loaded already, after the package and
+    # after the CLI
+    code = ("import sys; before = set(sys.modules)\n"
+            "unwanted = {'dataclasses', 'inspect', 'fractions', 'decimal', "
+            "'cubedecomp._verify', 'cubedecomp._oracles'}\n"
+            "import cubedecomp; print(sorted(unwanted & (set(sys.modules) - before)))\n"
+            "import cubedecomp.cli; print(sorted(unwanted & (set(sys.modules) - before)))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 # Each function that builds a Fraction imports fractions itself: (call, its repr or

@@ -273,6 +273,24 @@ def test_table_on_both_sides_of_a_prime_square(d):
     assert mobius_d_values(d, 0) == mobius_d_values(d, -3) == [0]
 
 
+# A block up to hi is sieved by the primes up to isqrt(hi): the held ones while that is at
+# most B, so below (B + 1)^2, and _primes' from there on.
+HELD_PRIMES_EDGES = [(B * B - 300, B * B - 1, False), (B * B - 300, B * B + 300, False),
+                     ((B + 1) ** 2 - 300, (B + 1) ** 2 - 1, False),
+                     ((B + 1) ** 2 - 300, (B + 1) ** 2 + 300, True)]
+
+
+@pytest.mark.parametrize("lo,hi,sieves", HELD_PRIMES_EDGES)
+def test_segments_below_b_plus_one_squared_take_the_held_primes(monkeypatch, lo, hi, sieves):
+    sieve, asked = number_theory._primes, []
+    monkeypatch.setattr(number_theory, "_primes", lambda n: asked.append(n) or sieve(n))
+    for d in range(5):
+        assert list(number_theory._mobius_d_segment(d, lo, hi)) == [
+            mobius_d(d, n) for n in range(lo, hi + 1)], (d, lo, hi)
+    assert {n for n in asked if n > B} == ({isqrt(hi)} if sieves else set())
+    assert sieves or not asked
+
+
 def test_segment_validates_its_arguments():
     with pytest.raises(ValueError, match="d >= 0"):
         list(number_theory._mobius_d_segment(-1, 5, 9))

@@ -1,0 +1,136 @@
+"""What a start loads: the oracles load on first use, and no call that a table command or
+a library session makes compiles a module of the package."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cubedecomp
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+BENCH = ROOT / "bench"
+
+# cubedecomp.__all__ before the oracles moved to cubedecomp._oracles; it does not change.
+ALL = [
+    "Decomposition", "LEAF", "Necs", "ResidueClass", "SaddleResult", "TruncatedSeries",
+    "__version__", "asymptotic_estimate", "auxiliary_counts", "check_growth_bounds",
+    "decomposition_counts", "decomposition_from_json_dict", "decomposition_series",
+    "decomposition_to_json_dict", "dirichlet_convolve", "divisors", "enumerate_A",
+    "enumerate_A_tilde", "enumerate_B", "enumerate_decompositions",
+    "enumerate_decompositions_up_to", "enumerate_necs", "enumerate_necs_up_to",
+    "enumerate_trees", "eval_M", "eval_M_prime", "eval_M_second", "factorize", "find_oar",
+    "find_saddle", "first_even_set", "format_tree", "g_count", "gcd_of", "grid_decomposition",
+    "h_count", "involution", "is_exact_cover", "is_reduced", "is_split_generated",
+    "iter_sequences", "lcm_of", "leaf_count", "log_asymptotic_estimate", "make_class",
+    "mobius", "mobius_d", "mobius_d_values", "mobius_series", "necs_from_json_dict",
+    "necs_gcd", "necs_lcm", "necs_to_json_dict", "parse_tree", "phi", "psi",
+    "ratio_injection", "refined_counts", "refines_grid", "restrict_rescale", "saddle_bracket",
+    "scale_map", "sequence_from_json", "sequence_sign", "sequence_to_json", "sequence_weight",
+    "series_from_list", "set_sign", "set_weight", "signed_sum", "split", "split_class",
+    "split_decomposition", "split_necs", "tree_counts", "tree_from_json", "tree_to_json",
+    "trivial_decomposition", "trivial_necs", "unit_region", "volume",
+]
+
+
+def run_fresh(code: str, cwd=None) -> str:
+    """stdout of code run in a fresh interpreter that imports the package from src/."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+
+
+def layers() -> dict:
+    """bench/tracer.py's LAYERS: layer module -> the public functions it traces."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # loading the file does not install the tracer
+    return tracer.LAYERS
+
+
+# One request of each kind the session benchmark serves (bench/worker.py), each result
+# read as the worker reads it; then each table command of the cold benchmark.
+REQUESTS_AND_TABLES = """
+import contextlib, io, sys
+import cubedecomp as lib
+
+def new_modules(before):
+    return sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'cubedecomp')
+
+before = set(sys.modules)
+dec1 = {"d": 1, "regions": [[["0", "1/2"]], [["1/2", "3/4"]], [["3/4", "1"]]]}
+dec2 = {"d": 2, "regions": [[["0", "1/2"], ["0", "1"]], [["1/2", "1"], ["0", "1/3"]],
+                            [["1/2", "1"], ["1/3", "2/3"]], [["1/2", "1"], ["2/3", "1"]]]}
+[lib.mobius_d(2, n) for n in range(1400000, 1400020)]
+[[c.a, c.n] for c in lib.phi(lib.decomposition_from_json_dict(dec1)).classes]
+list(lib.gcd_of(lib.decomposition_from_json_dict(dec2)))
+[[[str(lo), str(hi)] for lo, hi in region]
+ for region in lib.psi(lib.parse_tree("(1 L (2 L L L))"), 3).regions]
+str(lib.h_count((12, 18))), str(lib.h_count((360,)))
+[str(v) for v in lib.decomposition_counts(3, 40)]
+[str(v) for v in lib.auxiliary_counts(2, 40)]
+[str(v) for v in lib.tree_counts(1, 40).coeffs]
+[str(v) for v in lib.refined_counts(2, (2, 3), 20)]
+lib.find_saddle(7).to_json_dict()
+str(lib.signed_sum(3, 7))
+print(new_modules(before))
+
+from cubedecomp import cli
+before = set(sys.modules)
+for argv in ["seq sd --d 1 --max-n 140", "seq sd --d 2 --max-n 140", "seq sd --d 3 --max-n 140",
+             "refined --d 2 --r 2,1 --max-n 110", "seq ad --d 3 --max-n 1400",
+             "seq td --d 3 --max-n 560", "mu --d 3 --n 1..40000", "lcm-count g --n 1..2000",
+             "growth --d 1..30"]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+print(new_modules(before))
+"""
+
+
+def test_no_session_call_and_no_table_command_loads_a_module():
+    # A module loaded inside a timed call compiles there (the benchmark writes no
+    # bytecode): an earlier lazily loaded package root slowed session calls so.
+    assert run_fresh(REQUESTS_AND_TABLES) == "[]\n[]\n"
+
+
+def test_the_oracles_load_on_first_use_and_bind_where_they_are_read():
+    code = ("import sys, cubedecomp\n"
+            "print('cubedecomp._oracles' in sys.modules)\n"
+            "from cubedecomp import geometry\n"
+            "marker = geometry.split = lambda *args: None  # as a tracer rebinds it\n"
+            "print(cubedecomp.split is marker, 'cubedecomp._oracles' in sys.modules)\n"
+            "trees = cubedecomp.trees\n"
+            "print(cubedecomp.enumerate_trees is trees.enumerate_trees,\n"
+            "      'enumerate_trees' in vars(cubedecomp), 'enumerate_trees' in vars(trees),\n"
+            "      'cubedecomp._oracles' in sys.modules)\n")
+    assert run_fresh(code) == "False\nTrue False\nTrue True True True\n"
+
+
+def test_all_is_unchanged_and_every_name_is_one_object_from_the_root_and_its_home():
+    assert cubedecomp.__all__ == ALL
+    exported = set(ALL)
+    for layer, names in layers().items():
+        home = importlib.import_module(f"cubedecomp.{layer}")
+        for name in names:
+            value = getattr(home, name)
+            assert inspect.isfunction(value), f"{layer}.{name}"
+            if name in exported:
+                assert getattr(cubedecomp, name) is value, f"{layer}.{name}"
+                exported.discard(name)
+    for name in exported:  # the classes, LEAF, __version__ and the root-only names
+        assert getattr(cubedecomp, name) is not None, name
+
+
+def test_the_tracer_wraps_each_traced_name_where_the_root_reads_it():
+    code = ("import tracer; tracer.install(); import importlib, cubedecomp\n"
+            "bad = [f'{layer}.{name}' for layer, names in tracer.LAYERS.items()\n"
+            "       for name in names\n"
+            "       if not hasattr(getattr(importlib.import_module('cubedecomp.' + layer), name),\n"
+            "                      '__wrapped__')\n"
+            "       or name in cubedecomp.__all__ and getattr(cubedecomp, name) is not\n"
+            "       getattr(importlib.import_module('cubedecomp.' + layer), name)]\n"
+            "print(bad)\n")
+    assert run_fresh(code, cwd=BENCH) == "[]\n"
