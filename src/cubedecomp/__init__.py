@@ -8,14 +8,19 @@ covering systems of the integers), realizes the structural bijections and
 maps between these families, and evaluates the exponential growth rate of
 s_d(n) with certified truncation error.
 
-The series layer, the gcd kernel and the structural maps load with the
-package.  The brute-force oracles (the enumerations, the prime-sequence
-partner maps, the Fraction-region helpers, the convolution route to mu_d and
-the saddle-point estimates) live in the private module `_oracles`, which
-loads on the first read of any of them, from here or from its home module.
+A library import (`import cubedecomp`, a script, `python -c`) loads the
+series layer, the gcd kernel, the structural maps and the saddle search, and
+binds their names here at once, so no later call compiles a module.  The
+brute-force oracles (the enumerations, the prime-sequence partner maps, the
+Fraction-region helpers, the convolution route to mu_d and the saddle-point
+estimates) live in the private module `_oracles`, which loads on the first
+read of any of them, from here or from its home module.  `python -m
+cubedecomp.cli` imports this package while sys.argv[0] is "-m"; then no name
+binds up front, every name binds on first read, and the CLI imports what each
+command uses inside that command.
 """
 
-import types as _types
+import sys as _sys
 from importlib import import_module as _import_module
 
 
@@ -35,66 +40,44 @@ def _on_first_use(namespace: dict, homes: dict):
 
     return __getattr__
 
-from .asymptotics import (
-    SaddleResult,
-    eval_M,
-    eval_M_prime,
-    eval_M_second,
-    find_saddle,
-    saddle_bracket,
-)
-from .covering import Necs, ResidueClass, necs_gcd, necs_lcm, necs_to_json_dict, phi
-from .geometry import (
-    Decomposition,
-    decomposition_from_json_dict,
-    decomposition_to_json_dict,
-    gcd_of,
-    is_split_generated,
-    lcm_of,
-)
-from .lcm_counts import g_count, h_count
-from .number_theory import factorize, mobius, mobius_d, mobius_d_values
-from .prime_sequences import (
-    enumerate_A,
-    enumerate_B,
-    iter_sequences,
-    sequence_sign,
-    sequence_weight,
-    set_sign,
-    set_weight,
-    signed_sum,
-)
-from .series import (
-    TruncatedSeries,
-    auxiliary_counts,
-    decomposition_counts,
-    refined_counts,
-    series_from_list,
-)
-from .trees import LEAF, parse_tree, psi, tree_counts
-
-# Read through each home module, so a name rebound there (by a tracer) is the one read here.
-_ORACLES = {
-    "asymptotics": ("asymptotic_estimate", "check_growth_bounds", "log_asymptotic_estimate"),
-    "covering": ("enumerate_necs", "enumerate_necs_up_to", "is_exact_cover", "make_class",
-                 "necs_from_json_dict", "split_class", "split_necs", "trivial_necs"),
-    "geometry": ("enumerate_decompositions", "enumerate_decompositions_up_to",
-                 "grid_decomposition", "refines_grid", "restrict_rescale", "scale_map", "split",
-                 "split_decomposition", "trivial_decomposition", "unit_region", "volume"),
-    "number_theory": ("dirichlet_convolve", "divisors"),
-    "prime_sequences": ("enumerate_A_tilde", "find_oar", "first_even_set", "involution",
-                        "is_reduced", "ratio_injection", "sequence_from_json",
-                        "sequence_to_json"),
-    "series": ("decomposition_series", "mobius_series"),
-    "trees": ("enumerate_trees", "format_tree", "leaf_count", "tree_from_json", "tree_to_json"),
-}
-__getattr__ = _on_first_use(globals(), _ORACLES)
 
 __version__ = "0.1.0"
+MAX_K = 16  # the largest truncation exponent of the asymptotics, whose tables hold 2^k - 1 terms
 
-# every public name imported above, those bound on first use, and the version
-__all__ = sorted([
-    *(name for name, value in globals().items()
-      if not isinstance(value, _types.ModuleType) and (name[0] != "_" or name == "__version__")),
-    *(name for names in _ORACLES.values() for name in names),
-])
+# Every public name, under the package module that keeps it.  A name that lives in _oracles
+# is read through its home module, so a name rebound there (by a tracer) is the one read here.
+_HOMES = {
+    "asymptotics": ("SaddleResult", "asymptotic_estimate", "check_growth_bounds", "eval_M",
+                    "eval_M_prime", "eval_M_second", "find_saddle", "log_asymptotic_estimate",
+                    "saddle_bracket"),
+    "covering": ("Necs", "ResidueClass", "enumerate_necs", "enumerate_necs_up_to",
+                 "is_exact_cover", "make_class", "necs_from_json_dict", "necs_gcd", "necs_lcm",
+                 "necs_to_json_dict", "phi", "split_class", "split_necs", "trivial_necs"),
+    "geometry": ("Decomposition", "decomposition_from_json_dict", "decomposition_to_json_dict",
+                 "enumerate_decompositions", "enumerate_decompositions_up_to", "gcd_of",
+                 "grid_decomposition", "is_split_generated", "lcm_of", "refines_grid",
+                 "restrict_rescale", "scale_map", "split", "split_decomposition",
+                 "trivial_decomposition", "unit_region", "volume"),
+    "lcm_counts": ("g_count", "h_count"),
+    "number_theory": ("dirichlet_convolve", "divisors", "factorize", "mobius", "mobius_d",
+                      "mobius_d_values"),
+    "prime_sequences": ("enumerate_A", "enumerate_A_tilde", "enumerate_B", "find_oar",
+                        "first_even_set", "involution", "is_reduced", "iter_sequences",
+                        "ratio_injection", "sequence_from_json", "sequence_sign",
+                        "sequence_to_json", "sequence_weight", "set_sign", "set_weight",
+                        "signed_sum"),
+    "series": ("TruncatedSeries", "auxiliary_counts", "decomposition_counts",
+               "decomposition_series", "mobius_series", "refined_counts", "series_from_list"),
+    "trees": ("LEAF", "enumerate_trees", "format_tree", "leaf_count", "parse_tree", "psi",
+              "tree_counts", "tree_from_json", "tree_to_json"),
+}
+__getattr__ = _on_first_use(globals(), _HOMES)
+__all__ = sorted(["__version__", *(name for names in _HOMES.values() for name in names)])
+
+# A library import binds every name that its home module defines, which leaves the oracles.
+# While `python -m` locates the module to run, sys.argv[0] is "-m" (see the docs of -m).
+if _sys.argv[:1] != ["-m"]:
+    for _home, _names in _HOMES.items():
+        _defined = vars(_import_module(f".{_home}", __name__))
+        globals().update((name, _defined[name]) for name in _names if name in _defined)
+    del _home, _names, _defined

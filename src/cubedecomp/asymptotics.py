@@ -30,7 +30,7 @@ from array import array
 from functools import lru_cache
 from typing import Tuple
 
-from . import _on_first_use
+from . import MAX_K, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
@@ -38,22 +38,25 @@ from .number_theory import mobius_d_values
 __getattr__ = _on_first_use(globals(), {"_oracles": (
         "log_asymptotic_estimate", "asymptotic_estimate", "check_growth_bounds")})
 
-DEFAULT_K = 6
-MAX_K = 16  # the table holds 2^k - 1 terms; k = 6..16 give bit-identical saddles
+DEFAULT_K = 6  # k = 6..MAX_K give bit-identical saddles
 DEFAULT_TOL = 1e-12
+_CACHED_K = 8  # 64 tables of k <= 8 hold at most 0.4 MB; one table of k = 16 holds 1.6 MB
 
 
-@lru_cache(maxsize=64)
-def _mu_table(d: int, k: int) -> Tuple[array, ...]:
+def _mu_weights(d: int, k: int) -> Tuple[array, ...]:
     """Per deriv = 0, 1, 2: n(n-1)..(n-deriv+1) mu_d(n) for n = 2^k - 1 down to deriv."""
     mu = mobius_d_values(d, 2 ** k - 1) + [0]  # n = 2: the constant of an empty M_1'' sum
     return tuple(array("d", (math.perm(n, j) * mu[n] for n in range(max(2 ** k - 1, j), j - 1, -1)))
                  for j in range(3))
 
 
+# The tables of k <= _CACHED_K, and the last larger one, which a bisection reads at every step.
+_mu_table, _last_mu_table = lru_cache(maxsize=64)(_mu_weights), lru_cache(maxsize=1)(_mu_weights)
+
+
 def _partial_sum(d: int, x: float, k: int, deriv: int) -> float:
     """The deriv-th derivative of sum_{n < 2^k} mu_d(n) x^n at x, by Horner."""
-    weights = _mu_table(d, k)[deriv]
+    weights = (_mu_table if k <= _CACHED_K else _last_mu_table)(d, k)[deriv]
     value = 0.0
     for c in weights[:-1]:
         value = (value + c) * x

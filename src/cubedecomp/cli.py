@@ -29,16 +29,14 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import __version__
-from .asymptotics import MAX_K, find_saddle
-from .covering import Necs, necs_lcm, necs_to_json_dict, phi
-from .geometry import Decomposition, decomposition_from_json_dict, decomposition_to_json_dict
-from .lcm_counts import g_count, h_count
-from .number_theory import _mobius_d_segment
-from .series import auxiliary_counts, decomposition_counts, refined_counts
-from .trees import parse_tree, psi, tree_counts
+# Each command imports the library functions it uses, so a start compiles only those.
+from . import MAX_K, __version__
+
+if TYPE_CHECKING:
+    from .covering import Necs
+    from .geometry import Decomposition
 
 SCHEMA = "cubedecomp.v1"
 ENUM_CAP = 100_000
@@ -177,6 +175,8 @@ def _load_json_input(path: str) -> dict:
 
 
 def _cmd_mu(args) -> int:
+    from .number_theory import _mobius_d_segment
+
     lo, hi = args.n
     width, root = hi - lo + 1, math.isqrt(max(hi, 0))
     if (width > MU_CAPS["width"] or root > MU_CAPS["root"]) and not args.allow_large:
@@ -191,12 +191,18 @@ def _cmd_seq(args) -> int:
     _check_max_n(args.kind, args)
     params = {"kind": args.kind, "d": args.d, "max_n": args.max_n}
     if args.kind == "sd":
+        from .series import decomposition_counts
+
         values = decomposition_counts(args.d, args.max_n)
         pairs = [(n, values[n]) for n in range(1, args.max_n + 1)]
     elif args.kind == "ad":
+        from .series import auxiliary_counts
+
         values = auxiliary_counts(args.d, args.max_n)
         pairs = [(n, values[n]) for n in range(0, args.max_n + 1)]
     else:
+        from .trees import tree_counts
+
         series = tree_counts(args.d, args.max_n)
         pairs = [(n, series.coefficient(n)) for n in range(1, args.max_n + 1)]
     _print_values("seq", params, "series", args.format, pairs)
@@ -204,6 +210,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_refined(args) -> int:
+    from .series import refined_counts
+
     _check_max_n("refined", args)
     values = refined_counts(args.d, args.r, args.max_n)
     params = {"d": args.d, "r": list(args.r), "max_n": args.max_n}
@@ -213,9 +221,10 @@ def _cmd_refined(args) -> int:
 
 
 def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callable[[object], str]]:
-    from .covering import enumerate_necs  # these three load _oracles, which tables never do
-    from .geometry import enumerate_decompositions
-    from .trees import enumerate_trees, format_tree
+    from .covering import enumerate_necs, necs_to_json_dict  # the enumerations load _oracles
+    from .geometry import decomposition_to_json_dict, enumerate_decompositions
+    from .series import decomposition_counts
+    from .trees import enumerate_trees, format_tree, tree_counts
 
     d, n = args.d, args.n
     _check_bounds(("--d", d, 1), ("--n", n, 1))
@@ -260,6 +269,9 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    from .covering import necs_lcm, necs_to_json_dict, phi
+    from .geometry import decomposition_from_json_dict
+
     dec = decomposition_from_json_dict(_load_json_input(args.infile))
     system = phi(dec)
     result = dict(necs_to_json_dict(system), lcm=necs_lcm(system))
@@ -268,6 +280,9 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from .geometry import decomposition_to_json_dict
+    from .trees import parse_tree, psi
+
     data = _load_json_input(args.infile)
     if not isinstance(data, dict):
         raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
@@ -290,6 +305,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from .asymptotics import find_saddle
+
     lo, hi = args.d
     if lo < 1:
         raise ValueError(f"d must be >= 1, got {lo}")
@@ -304,6 +321,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_lcm_count(args) -> int:
+    from .lcm_counts import g_count, h_count
+
     count = g_count if args.kind == "g" else h_count
     if (args.r is None) == (args.n is None):
         raise ValueError("exactly one of --r and --n is required")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cubedecomp import cli
+from cubedecomp import cli, number_theory, series, trees
 from cubedecomp.number_theory import mobius_d
 from cubedecomp.series import decomposition_counts, refined_counts, series_from_list
 
@@ -71,11 +71,11 @@ def test_mu_json_records(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"mu took a second path {args}")
 
-    sieve, segments = cli._mobius_d_segment, []
-    monkeypatch.setattr(cli, "_mobius_d_segment",
+    sieve, segments = number_theory._mobius_d_segment, []
+    monkeypatch.setattr(number_theory, "_mobius_d_segment",
                         lambda d, lo, hi: segments.append((lo, hi)) or sieve(d, lo, hi))
-    for name in ("mobius_d", "mobius_d_values"):  # cli imports neither; were one
-        monkeypatch.setattr(cli, name, refuse, raising=False)  # imported, mu could not use it
+    for name in ("mobius_d", "mobius_d_values"):  # mu reads each function from its home
+        monkeypatch.setattr(number_theory, name, refuse)  # module when it runs
     for lo, hi in ((1, 2000), (20000000, 20000020)):
         code, out = run(capsys, "mu", "--d", "3", "--n", f"{lo}..{hi}")
         assert code == 0
@@ -537,6 +537,36 @@ def test_oracle_command_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out).hexdigest() == ORACLE_COMMAND_SHA256[command]
 
 
+def run_module(argv, stdin=""):
+    """`python -m cubedecomp.cli ARGV` in a fresh interpreter: (exit code, stdout, stderr).
+    Under -m the package root binds its names on first read, not at import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "cubedecomp.cli", *argv], input=stdin,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify --suite all", "enum decomp --d 2 --n 5"])
+def test_oracle_commands_print_the_pinned_bytes_in_a_fresh_process(command):
+    code, out, err = run_module(shlex.split(command))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORACLE_COMMAND_SHA256[command]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("phi", {"d": 1, "regions": [[["0", "1/4"]], [["1/4", "1/2"]], [["1/2", "3/4"]],
+                                 [["3/4", "1"]]]}),
+    ("psi", {"d": 3, "tree": [1, "L", [2, "L", "L", "L"]]}),
+])
+def test_phi_and_psi_print_in_a_fresh_process_what_they_print_in_process(
+        capsys, monkeypatch, command, payload):
+    text = json.dumps(payload)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_module([command, "--in", "-"], text)
+    assert (code, out, err) == (*run(capsys, command, "--in", "-"), "") and code == 0
+
+
 # Full stdout digests of series tables past the benchmark sizes, as the
 # schoolbook product printed them; both refined tables carry a signed weight.
 LARGE_SERIES_SHA256 = {
@@ -589,7 +619,7 @@ def test_mu_caps_exit_three_before_sieving(capsys, monkeypatch, n, width, root):
     def refuse(*args):
         raise AssertionError("the sieve ran past the cap")
 
-    monkeypatch.setattr(cli, "_mobius_d_segment", refuse)
+    monkeypatch.setattr(number_theory, "_mobius_d_segment", refuse)
     code = cli.main(["mu", "--d", "2", "--n", n])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
@@ -605,7 +635,7 @@ def test_allow_large_passes_the_mu_caps(capsys, monkeypatch):
         calls.append(hi - lo + 1)
         return [0] * (hi - lo + 1)
 
-    monkeypatch.setattr(cli, "_mobius_d_segment", zeros)
+    monkeypatch.setattr(number_theory, "_mobius_d_segment", zeros)
     argvs = [[n] for n in MU_AT_CAPS] + [[n, "--allow-large"] for n, _, _ in MU_PAST_CAPS]
     for extra in argvs:
         code, out = run(capsys, "mu", "--d", "2", "--format", "csv", "--n", *extra)
@@ -620,6 +650,9 @@ TABLE_CAPS = [
     (["seq", "td", "--d", "1"], "td", "tree_counts"),
     (["refined", "--d", "1", "--r", "2"], "refined", "refined_counts"),
 ]
+# The module each of those functions lives in, where the command reads it when it runs.
+HOME = {"decomposition_counts": series, "auxiliary_counts": series, "tree_counts": trees,
+        "refined_counts": series}
 
 
 @pytest.mark.parametrize("argv, kind, compute", TABLE_CAPS)
@@ -627,7 +660,7 @@ def test_max_n_cap_exits_three_before_computing(capsys, monkeypatch, argv, kind,
     def refuse(*args):
         raise AssertionError(f"{compute} ran past the cap")
 
-    monkeypatch.setattr(cli, compute, refuse)
+    monkeypatch.setattr(HOME[compute], compute, refuse)
     code = cli.main(argv + ["--max-n", str(cli.MAX_N_CAPS[kind] + 1)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
@@ -644,7 +677,7 @@ def test_allow_large_passes_the_max_n_cap(capsys, monkeypatch, argv, kind, compu
         calls.append(args[-1])
         return series_from_list([0] * (args[-1] + 1)) if kind == "td" else [0] * (args[-1] + 1)
 
-    monkeypatch.setattr(cli, compute, zeros)
+    monkeypatch.setattr(HOME[compute], compute, zeros)
     cap = cli.MAX_N_CAPS[kind]
     for extra in ([str(cap)], [str(cap + 1), "--allow-large"]):
         code, out = run(capsys, *argv, "--max-n", *extra, "--format", "csv")
@@ -673,7 +706,7 @@ def test_table_bounds_name_the_option_before_computing(capsys, monkeypatch, argv
         raise AssertionError("the library was asked before the bounds were checked")
 
     for _, _, compute in TABLE_CAPS:
-        monkeypatch.setattr(cli, compute, refuse)
+        monkeypatch.setattr(HOME[compute], compute, refuse)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -690,7 +723,7 @@ def test_memory_error_exits_three_with_one_line(capsys, monkeypatch):
     def exhaust(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "auxiliary_counts", exhaust)
+    monkeypatch.setattr(series, "auxiliary_counts", exhaust)
     code = cli.main(["seq", "ad", "--d", "1", "--max-n", "10"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
@@ -699,8 +732,6 @@ def test_memory_error_exits_three_with_one_line(capsys, monkeypatch):
 
 def test_arithmetic_error_exits_one_with_one_line(capsys, monkeypatch):
     # a phi < 0, which the packed chains of _lagrange refuse
-    from cubedecomp import series
-
     monkeypatch.setattr(series, "auxiliary_counts", lambda d, n: [1, -1] + [1] * (n - 1))
     one_line_error(capsys, ["seq", "sd", "--d", "2", "--max-n", "5"])
 

@@ -1,13 +1,15 @@
 """Memory stays bounded: point queries allocate no tables, and no memo outgrows its bound."""
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+from array import array
 from fractions import Fraction
 
 import cubedecomp
-from cubedecomp.asymptotics import _mu_table, eval_M
+from cubedecomp.asymptotics import _last_mu_table, _mu_table, eval_M, find_saddle
 from cubedecomp.cli import LCM_PRODUCT_CAP
 from cubedecomp import geometry
 from cubedecomp.geometry import Decomposition, is_split_generated
@@ -114,3 +116,23 @@ def test_memos_stay_within_their_bounds():
     for n in range(1, bound + 101):
         g_count((n,))
     assert _g_sorted.cache_info().currsize <= bound
+
+
+def test_the_saddle_tables_stay_near_two_megabytes():
+    # 64 tables of k = 16 (1.6 MB each) would hold about 100 MB: the tables of small k are
+    # cached, and of the larger ones only the last, which a bisection reads at every step.
+    def held():  # bytes of the tables (tuples of arrays) that the two caches hold
+        return sum(sys.getsizeof(column) for cache in (_mu_table, _last_mu_table)
+                   for table in gc.get_referents(cache)
+                   if type(table) is tuple and table and type(table[0]) is array
+                   for column in table)
+
+    for d in range(1, 70):
+        eval_M(d, 0.0, 8)  # 64 tables of the largest k the first cache keeps
+    for d in range(1, 5):
+        find_saddle(d, k=16)
+    assert 1.5 * MB < held() <= 2 * MB
+    saddles = [find_saddle(d) for d in range(1, 31)]  # k = 6, as session calls ask
+    misses = _mu_table.cache_info().misses
+    assert [find_saddle(d) for d in range(1, 31)] == saddles
+    assert _mu_table.cache_info().misses == misses

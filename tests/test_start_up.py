@@ -1,13 +1,18 @@
-"""What a start loads: the oracles load on first use, and no call that a table command or
-a library session makes compiles a module of the package."""
+"""What a start loads: the oracles load on first use, no call that a table command or
+a library session makes compiles a module of the package, and a `python -m
+cubedecomp.cli` start loads only the modules its command uses."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cubedecomp
 
@@ -134,3 +139,52 @@ def test_the_tracer_wraps_each_traced_name_where_the_root_reads_it():
             "       getattr(importlib.import_module('cubedecomp.' + layer), name)]\n"
             "print(bad)\n")
     assert run_fresh(code, cwd=BENCH) == "[]\n"
+
+
+# Each start of the cold benchmark, `python -m cubedecomp.cli ARGV`, and the package modules
+# it loads beyond the root (the CLI itself runs as __main__).
+SERIES = ["_frozen", "number_theory", "series"]
+CLI_STARTS = {
+    "--version": [],
+    "mu --d 3 --n 1..40000": ["number_theory"],
+    "lcm-count g --n 1..2000": ["lcm_counts", "number_theory"],
+    "growth --d 1..30": ["_frozen", "asymptotics", "number_theory"],
+    "seq sd --d 1 --max-n 140": SERIES,
+    "seq sd --d 2 --max-n 140": SERIES,
+    "seq sd --d 3 --max-n 140": SERIES,
+    "seq ad --d 3 --max-n 1400": SERIES,
+    "refined --d 2 --r 2,1 --max-n 110": SERIES,
+    "seq td --d 3 --max-n 560": ["_frozen", "geometry", "number_theory", "series", "trees"],
+}
+REFERENCES = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
+
+# Run by site as the interpreter starts, before -m locates the module to run: at exit it
+# writes the package modules the process loaded to modules.txt beside itself.
+SITE_HOOK = """import atexit, os, sys
+
+def _record():
+    with open(os.path.join(os.path.dirname(__file__), "modules.txt"), "w") as fh:
+        fh.write(" ".join(sorted(m[11:] for m in sys.modules if m.startswith("cubedecomp."))))
+
+atexit.register(_record)
+"""
+
+
+def test_the_pinned_starts_are_the_cold_table_commands():
+    tables = sorted(c for c, ref in REFERENCES.items() if ref["workload"] == "tables-cold")
+    assert sorted(CLI_STARTS) == ["--version", *tables]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_STARTS))
+def test_a_cli_start_loads_only_what_its_command_uses(tmp_path, command):
+    # the launch path the benchmark times: the package root loads while sys.argv[0] is "-m"
+    (tmp_path / "sitecustomize.py").write_text(SITE_HOOK, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "cubedecomp.cli", *command.split()],
+                          capture_output=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{SRC}"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "modules.txt").read_text(encoding="utf-8").split() == CLI_STARTS[command]
+    if command == "--version":
+        assert proc.stdout == f"cubedecomp {cubedecomp.__version__}\n".encode()
+    else:
+        assert hashlib.sha256(proc.stdout).hexdigest() == REFERENCES[command]["stdout_sha256"]
