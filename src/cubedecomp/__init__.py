@@ -29,7 +29,12 @@ def _on_first_use(namespace: dict, homes: dict):
     of the package module keeping them.  The first read of such a name imports its
     module and binds the name in namespace, so later reads are plain global reads;
     any other name raises AttributeError.  Defined before the submodule imports
-    below, which read it."""
+    below, which read it.
+
+    Names that no table command or session call uses live in _oracles, loaded on
+    first read.  Each home module hands this its whole _HOMES entry under
+    "_oracles": the hook runs only on a miss, so a name the module defines never
+    reaches it, and moving a function to or from _oracles moves only its def."""
     home_of = {name: home for home, names in homes.items() for name in names}
 
     def __getattr__(name: str):

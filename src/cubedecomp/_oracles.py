@@ -10,6 +10,8 @@ partner maps and their JSON; and the saddle-point estimates.
 
 Each name belongs to a home module, which binds it on its first read through a
 module __getattr__ (PEP 562), and the package root re-exports it the same way.
+The package's _HOMES is the list: a public name there lives here when its home
+module does not define it.
 So `import cubedecomp` and every table command compile none of this, and the
 first use of any of it compiles all of it.  Import these names from their home
 module or the package, not from here.

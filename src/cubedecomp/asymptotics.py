@@ -30,13 +30,11 @@ from array import array
 from functools import lru_cache
 from typing import Tuple
 
-from . import MAX_K, _on_first_use
+from . import MAX_K, _HOMES, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "log_asymptotic_estimate", "asymptotic_estimate", "check_growth_bounds")})
+__getattr__ = _on_first_use(globals(), {"_oracles": _HOMES["asymptotics"]})
 
 DEFAULT_K = 6  # k = 6..MAX_K give bit-identical saddles
 DEFAULT_TOL = 1e-12

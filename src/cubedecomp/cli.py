@@ -32,7 +32,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 # Each command imports the library functions it uses, so a start compiles only those.
-from . import MAX_K, __version__
+from . import MAX_K, __version__, _on_first_use
 
 if TYPE_CHECKING:
     from .covering import Necs
@@ -80,12 +80,9 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 def _parse_int_vector(text: str) -> Tuple[int, ...]:
     try:
-        vec = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not vec:
-        raise argparse.ArgumentTypeError("empty vector")
-    return vec
 
 
 def _record(command: str, params: dict, provenance: str, result: dict) -> str:
@@ -353,14 +350,9 @@ def _cmd_lcm_count(args) -> int:
 SUITE_NAMES = ("tables", "oracles", "bijection", "asymptotics")
 
 
-def __getattr__(name: str):
-    # cli.SUITES and the frozen tables (cli.S_TABLE, ...) that bench/make_references.py
-    # reads load on first read; other names, dunders included, never load the suites
-    if name.isupper():
-        from . import _verify
-        if hasattr(_verify, name):
-            return getattr(_verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# cli.SUITES and the frozen tables that bench/make_references.py reads load on first read
+__getattr__ = _on_first_use(globals(), {"_verify": (
+    "SUITES", "MU_TABLE", "S_TABLE", "A_TABLE", "G_ROW", "H_ROW", "SCHROEDER", "GROWTH_EXCESS")})
 
 
 def _cmd_verify(args) -> int:

@@ -15,13 +15,10 @@ preserves the componentwise gcd and lcm of the two worlds.
 from math import gcd as _gcd, lcm as _lcm
 from typing import List, NamedTuple, Tuple
 
-from . import _on_first_use, geometry
+from . import _HOMES, _on_first_use, geometry
 from ._frozen import Frozen
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "make_class", "trivial_necs", "split_class", "split_necs", "classes_intersect",
-        "is_exact_cover", "necs_from_json_dict", "enumerate_necs_up_to", "enumerate_necs")})
+__getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["covering"], "classes_intersect")})
 
 
 class ResidueClass(NamedTuple):

@@ -38,14 +38,10 @@ Key structural facts used here:
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import _on_first_use
+from . import _HOMES, _on_first_use
 from ._frozen import Frozen
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "trivial_decomposition", "grid_decomposition", "refines_grid", "unit_region", "split",
-        "split_decomposition", "region_contains", "scale_map", "volume", "restrict_rescale",
-        "enumerate_decompositions_up_to", "enumerate_decompositions")})
+__getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["geometry"], "region_contains")})
 
 Region = Tuple[Tuple["Fraction", "Fraction"], ...]
 Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see the module doc

@@ -26,11 +26,10 @@ from itertools import chain, compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterator, List, Tuple
 
-from . import _on_first_use
+from . import _HOMES, _on_first_use
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "dirichlet_convolve", "mobius_d_by_convolution", "divisors")})
+__getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["number_theory"],
+                                                     "mobius_d_by_convolution")})
 
 
 _PRIME_BLOCK = 1 << 18  # the least block of _primes; 2^13 ran twice as slow at n = 10^7

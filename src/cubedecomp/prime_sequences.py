@@ -41,13 +41,10 @@ from itertools import combinations
 from math import prod
 from typing import Iterator, List, Tuple
 
-from . import _on_first_use
+from . import _HOMES, _on_first_use
 from .number_theory import factorize
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "first_even_set", "find_oar", "involution", "is_reduced", "enumerate_A_tilde",
-        "ratio_injection", "sequence_to_json", "sequence_from_json")})
+__getattr__ = _on_first_use(globals(), {"_oracles": _HOMES["prime_sequences"]})
 
 ColouredPrime = Tuple[int, int]          # (prime, colour)
 PrimeSet = Tuple[ColouredPrime, ...]     # sorted by (prime, colour)

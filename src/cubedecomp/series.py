@@ -52,13 +52,11 @@ from math import isqrt, prod
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import _on_first_use
+from . import _HOMES, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "mobius_series", "decomposition_series", "_revert_by_extraction")})
+__getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["series"], "_revert_by_extraction")})
 
 
 class TruncatedSeries(Frozen):

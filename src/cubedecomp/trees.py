@@ -20,14 +20,11 @@ from math import lcm
 from operator import add, mul
 from typing import List, Tuple
 
-from . import _on_first_use
+from . import _HOMES, _on_first_use
 from .geometry import Decomposition, _decomposition
 from .series import TruncatedSeries
 
-# Names that no table command or session call uses live in _oracles, loaded on first read.
-__getattr__ = _on_first_use(globals(), {"_oracles": (
-        "is_leaf", "leaf_count", "validate_tree", "format_tree", "tree_to_json", "tree_from_json",
-        "enumerate_trees")})
+__getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["trees"], "is_leaf", "validate_tree")})
 
 PlaneTree = Tuple  # () for a leaf, (label, *children) otherwise
 

@@ -437,6 +437,10 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["mu", "--d", "2", "--n", "five"]) == 1
     assert cli.main(["nonsense"]) == 1
     assert cli.main([]) == 1
+    capsys.readouterr()
+    assert cli.main(["refined", "--d", "1", "--r", "", "--max-n", "5"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --r: expected comma-separated integers, got ''\n")
 
 
 def test_domain_errors_exit_one(capsys):

@@ -188,3 +188,51 @@ def test_a_cli_start_loads_only_what_its_command_uses(tmp_path, command):
         assert proc.stdout == f"cubedecomp {cubedecomp.__version__}\n".encode()
     else:
         assert hashlib.sha256(proc.stdout).hexdigest() == REFERENCES[command]["stdout_sha256"]
+
+
+def test_the_lazy_root_binds_each_name_on_its_first_read():
+    # sys.argv[0] is "-m" while `python -m cubedecomp.cli` imports the root: no name binds
+    # up front, and the CLI never reads one, so only this test reads the lazy root
+    code = ("import sys; sys.argv[0] = '-m'\n"
+            "import importlib, cubedecomp\n"
+            "def loaded(): return sorted(m[11:] for m in sys.modules if m[:11] == 'cubedecomp.')\n"
+            "print(loaded())\n"
+            "cubedecomp.decomposition_counts\n"
+            "print(loaded())\n"
+            "cubedecomp.enumerate_trees\n"
+            "print('_oracles' in loaded())\n"
+            "read = {'decomposition_counts', 'enumerate_trees'}\n"
+            "print([name for home, names in cubedecomp._HOMES.items() for name in names\n"
+            "       if name in vars(cubedecomp) and name not in read  # bound before its read\n"
+            "       or getattr(cubedecomp, name) is not\n"
+            "       getattr(importlib.import_module('cubedecomp.' + home), name)])\n")
+    assert run_fresh(code) == "[]\n['_frozen', 'number_theory', 'series']\nTrue\n[]\n"
+
+
+def test_each_oracle_has_one_home_that_serves_it_and_each_home_serves_its_names():
+    from cubedecomp import _HOMES, _oracles
+
+    homes = {home: importlib.import_module(f"cubedecomp.{home}") for home in _HOMES}
+    oracles = [name for name, value in vars(_oracles).items()
+               if inspect.isfunction(value) and value.__module__ == _oracles.__name__
+               and not name.startswith("_")]
+    assert "enumerate_necs" in oracles
+    for name in oracles:
+        serving = [home for home, module in homes.items() if hasattr(module, name)]
+        assert len(serving) == 1, (name, serving)
+        assert getattr(homes[serving[0]], name) is getattr(_oracles, name), name
+    with pytest.raises(AttributeError):
+        cubedecomp.geometry.enumerate_necs
+    for home, names in _HOMES.items():
+        for name in names:
+            assert hasattr(homes[home], name), f"{home}.{name}"
+
+
+def test_the_cli_serves_the_verify_tables_and_loads_them_on_first_read():
+    code = ("import sys; from cubedecomp import cli\n"
+            "print('cubedecomp._verify' in sys.modules)\n"
+            "names = 'S_TABLE', 'A_TABLE', 'G_ROW', 'SUITES'\n"
+            "served = [getattr(cli, name) for name in names]\n"
+            "from cubedecomp import _verify\n"
+            "print(all(value is getattr(_verify, name) for value, name in zip(served, names)))\n")
+    assert run_fresh(code) == "False\nTrue\n"
