@@ -16,8 +16,8 @@ Fraction-region helpers, the convolution route to mu_d and the saddle-point
 estimates) live in the private module `_oracles`, which loads on the first
 read of any of them, from here or from its home module.  `python -m
 cubedecomp.cli` imports this package while sys.argv[0] is "-m"; then no name
-binds up front, every name binds on first read, and the CLI imports what each
-command uses inside that command.
+binds up front and every name binds on first read.  CLI commands read public
+names through this package, so a start loads only what its command reads.
 """
 
 import sys as _sys

@@ -10,21 +10,16 @@ from collections import Counter
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .asymptotics import check_growth_bounds, eval_M, eval_M_second, find_saddle
-from .covering import enumerate_necs, enumerate_necs_up_to, necs_gcd, necs_lcm, phi
-from .geometry import enumerate_decompositions, enumerate_decompositions_up_to, gcd_of, lcm_of
-from .lcm_counts import g_count, h_count
-from .number_theory import mobius_d, mobius_d_by_convolution, mobius_d_values
-from .prime_sequences import enumerate_A, enumerate_A_tilde, enumerate_B, ratio_injection, signed_sum
-from .series import (
-    _revert_by_extraction,
-    auxiliary_counts,
-    decomposition_counts,
-    decomposition_series,
-    mobius_series,
-    refined_counts,
+from . import (
+    auxiliary_counts, check_growth_bounds, decomposition_counts, decomposition_series,
+    enumerate_A, enumerate_A_tilde, enumerate_B, enumerate_decompositions,
+    enumerate_decompositions_up_to, enumerate_necs, enumerate_necs_up_to, enumerate_trees,
+    eval_M, eval_M_second, find_saddle, g_count, gcd_of, h_count, lcm_of, mobius_d,
+    mobius_d_values, mobius_series, necs_gcd, necs_lcm, parse_tree, phi, psi, ratio_injection,
+    refined_counts, signed_sum, tree_counts,
 )
-from .trees import enumerate_trees, parse_tree, psi, tree_counts
+from .number_theory import mobius_d_by_convolution  # the oracles outside __all__
+from .series import _revert_by_extraction
 
 MU_TABLE = {
     1: [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1],

@@ -31,8 +31,11 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
-# Each command imports the library functions it uses, so a start compiles only those.
 from . import MAX_K, __version__, _on_first_use
+
+# Commands read public names through the package root, which under `python -m` binds
+# each on its first read, so a start compiles only what its command uses.
+lib = sys.modules[__package__]
 
 if TYPE_CHECKING:
     from .covering import Necs
@@ -175,6 +178,7 @@ def _cmd_mu(args) -> int:
     from .number_theory import _mobius_d_segment
 
     lo, hi = args.n
+    _check_bounds(("--d", args.d, 0), ("--n", lo, 1))
     width, root = hi - lo + 1, math.isqrt(max(hi, 0))
     if (width > MU_CAPS["width"] or root > MU_CAPS["root"]) and not args.allow_large:
         raise _ResourceCap(f"--n {lo}..{hi} holds {width} values sieved by the primes up to "
@@ -188,29 +192,21 @@ def _cmd_seq(args) -> int:
     _check_max_n(args.kind, args)
     params = {"kind": args.kind, "d": args.d, "max_n": args.max_n}
     if args.kind == "sd":
-        from .series import decomposition_counts
-
-        values = decomposition_counts(args.d, args.max_n)
+        values = lib.decomposition_counts(args.d, args.max_n)
         pairs = [(n, values[n]) for n in range(1, args.max_n + 1)]
     elif args.kind == "ad":
-        from .series import auxiliary_counts
-
-        values = auxiliary_counts(args.d, args.max_n)
+        values = lib.auxiliary_counts(args.d, args.max_n)
         pairs = [(n, values[n]) for n in range(0, args.max_n + 1)]
     else:
-        from .trees import tree_counts
-
-        series = tree_counts(args.d, args.max_n)
+        series = lib.tree_counts(args.d, args.max_n)
         pairs = [(n, series.coefficient(n)) for n in range(1, args.max_n + 1)]
     _print_values("seq", params, "series", args.format, pairs)
     return 0
 
 
 def _cmd_refined(args) -> int:
-    from .series import refined_counts
-
     _check_max_n("refined", args)
-    values = refined_counts(args.d, args.r, args.max_n)
+    values = lib.refined_counts(args.d, args.r, args.max_n)
     params = {"d": args.d, "r": list(args.r), "max_n": args.max_n}
     _print_values("refined", params, "series", args.format,
                   ((n, values[n]) for n in range(1, args.max_n + 1)))
@@ -218,32 +214,28 @@ def _cmd_refined(args) -> int:
 
 
 def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callable[[object], str]]:
-    from .covering import enumerate_necs, necs_to_json_dict  # the enumerations load _oracles
-    from .geometry import decomposition_to_json_dict, enumerate_decompositions
-    from .series import decomposition_counts
-    from .trees import enumerate_trees, format_tree, tree_counts
-
     d, n = args.d, args.n
     _check_bounds(("--d", d, 1), ("--n", n, 1))
     if args.target == "necs" and d != 1:
         raise ValueError("covering systems are one-dimensional; use --d 1")
     if args.target == "trees":
-        expected, noun = tree_counts(d, n).coefficient(n), "trees"
+        expected, noun = lib.tree_counts(d, n).coefficient(n), "trees"
     else:
-        expected = decomposition_counts(d, n)[n]
+        expected = lib.decomposition_counts(d, n)[n]
         noun = "decompositions" if args.target == "decomp" else "covering systems"
     if expected > ENUM_CAP and not args.allow_large:
         raise _ResourceCap(f"{expected} {noun} exceeds cap {ENUM_CAP}")
     if args.target == "decomp":
-        objs = sorted(enumerate_decompositions(d, n), key=lambda s: s.regions)
-        return objs, decomposition_to_json_dict, _decomposition_text
+        objs = sorted(lib.enumerate_decompositions(d, n), key=lambda s: s.regions)
+        return objs, lib.decomposition_to_json_dict, _decomposition_text
     if args.target == "necs":
-        return sorted(enumerate_necs(n), key=lambda c: c.classes), necs_to_json_dict, _necs_text
+        objs = sorted(lib.enumerate_necs(n), key=lambda c: c.classes)
+        return objs, lib.necs_to_json_dict, _necs_text
 
     def tree_json(tree) -> dict:
-        return {"d": d, "tree": format_tree(tree)}
+        return {"d": d, "tree": lib.format_tree(tree)}
 
-    return sorted(enumerate_trees(d, n), key=format_tree), tree_json, format_tree
+    return sorted(lib.enumerate_trees(d, n), key=lib.format_tree), tree_json, lib.format_tree
 
 
 def _cmd_enum(args) -> int:
@@ -266,20 +258,13 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    from .covering import necs_lcm, necs_to_json_dict, phi
-    from .geometry import decomposition_from_json_dict
-
-    dec = decomposition_from_json_dict(_load_json_input(args.infile))
-    system = phi(dec)
-    result = dict(necs_to_json_dict(system), lcm=necs_lcm(system))
+    system = lib.phi(lib.decomposition_from_json_dict(_load_json_input(args.infile)))
+    result = dict(lib.necs_to_json_dict(system), lcm=lib.necs_lcm(system))
     _emit(args.format, _necs_text(system), "phi", {"in": args.infile}, "recursion", result)
     return 0
 
 
 def _cmd_psi(args) -> int:
-    from .geometry import decomposition_to_json_dict
-    from .trees import parse_tree, psi
-
     data = _load_json_input(args.infile)
     if not isinstance(data, dict):
         raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
@@ -289,26 +274,19 @@ def _cmd_psi(args) -> int:
         raise ValueError(f"malformed psi input: missing field {exc}") from None
     if type(d) is not int:
         raise ValueError(f"psi needs an integer d, got {d!r}")
-    if isinstance(raw, str):
-        tree = parse_tree(raw)
-    else:
-        from .trees import tree_from_json  # loads _oracles, which the text form does not
-
-        tree = tree_from_json(raw)
-    dec = psi(tree, d)
+    # tree_from_json loads _oracles, which the text form does not
+    tree = lib.parse_tree(raw) if isinstance(raw, str) else lib.tree_from_json(raw)
+    dec = lib.psi(tree, d)
     _emit(args.format, _decomposition_text(dec), "psi", {"in": args.infile}, "recursion",
-          decomposition_to_json_dict(dec))
+          lib.decomposition_to_json_dict(dec))
     return 0
 
 
 def _cmd_growth(args) -> int:
-    from .asymptotics import find_saddle
-
     lo, hi = args.d
-    if lo < 1:
-        raise ValueError(f"d must be >= 1, got {lo}")
+    _check_bounds(("--d", lo, 1))
     for d in range(lo, hi + 1):
-        saddle = find_saddle(d, tol=args.tol, k=args.k)
+        saddle = lib.find_saddle(d, tol=args.tol, k=args.k)
         result = saddle.to_json_dict()
         result["excess"] = saddle.growth_rate - (4 * d + 1.5)
         params = {"d": d, "tol": args.tol, "k": args.k}
@@ -318,9 +296,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_lcm_count(args) -> int:
-    from .lcm_counts import g_count, h_count
-
-    count = g_count if args.kind == "g" else h_count
+    count = lib.g_count if args.kind == "g" else lib.h_count
     if (args.r is None) == (args.n is None):
         raise ValueError("exactly one of --r and --n is required")
     if args.r is not None:
@@ -334,8 +310,7 @@ def _cmd_lcm_count(args) -> int:
               {"r": list(args.r), "value": str(value)})
         return 0
     lo, hi = args.n
-    if lo < 1:
-        raise ValueError(f"n must be >= 1, got {lo}")
+    _check_bounds(("--n", lo, 1))
     if hi > LCM_PRODUCT_CAP and not args.allow_large:
         raise _ResourceCap(f"n up to {hi} exceeds cap {LCM_PRODUCT_CAP}")
     params = {"kind": args.kind, "n": f"{lo}..{hi}"}

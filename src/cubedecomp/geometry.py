@@ -50,14 +50,15 @@ Grid = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]  # (L, regions), see 
 class Decomposition(Frozen):
     """Disjoint open boxes tiling (0,1)^d as (d, Ls, grid): Ls = lcm_of(self), grid
     the sorted integer regions (see the module doc).  regions, the same boxes
-    with Fraction endpoints, is built on first read.  Frozen, keyed by the form."""
+    with Fraction endpoints, is built on first read.  Frozen, keyed by the form.  The
+    constructor refuses what decomposition_from_json_dict does (see _checked)."""
 
     __slots__ = ("d", "Ls", "grid", "_regions")
     _key = ("d", "Ls", "grid")
 
     def __new__(cls, d: int, regions: Iterable[Region]):
         pairs = [[tuple((e.numerator, e.denominator) for e in iv) for iv in reg] for reg in regions]
-        return _decomposition(d, *_form(d, pairs))
+        return _decomposition(d, *_form(d, _checked(d, pairs)))
 
     def __reduce__(self):  # __new__ takes regions, not the form
         return _decomposition, self._values()
@@ -91,6 +92,29 @@ def _decomposition(d: int, Ls: Tuple[int, ...], grid: tuple) -> Decomposition:
     for name, value in zip(Decomposition.__slots__, (d, Ls, grid, None)):
         object.__setattr__(dec, name, value)
     return dec
+
+
+def _checked(d: int, regions: list) -> list:
+    """regions, (num, den) endpoints with den > 0, if d is an integer >= 1 and each of at
+    least one region has d intervals with 0 <= lo < hi <= 1; else ValueError.  That the
+    boxes tile the cube and are split generated is not checked."""
+    if type(d) is not int:
+        raise ValueError(f"a decomposition needs an integer d, got {d!r}")
+    if d < 1 or not regions:
+        raise ValueError("a decomposition needs d >= 1 and at least one region")
+    for region in regions:
+        if len(region) != d:
+            from fractions import Fraction
+
+            text = ", ".join(f"({Fraction(*lo)}, {Fraction(*hi)})" for lo, hi in region)
+            raise ValueError(f"region ({text}) does not have {d} intervals")
+        for (a, b), (c, e) in region:  # a/b and c/e, b and e positive
+            if not (0 <= a and a * e < c * b and c <= e):
+                from fractions import Fraction
+
+                raise ValueError(f"interval ({Fraction(a, b)}, {Fraction(c, e)}) "
+                                 "does not satisfy 0 <= lo < hi <= 1")
+    return regions
 
 
 def _form(d: int, regions: List[List[Tuple[Tuple[int, int], Tuple[int, int]]]]) -> Grid:
@@ -239,8 +263,7 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
 
     Raises ValueError on a malformed shape or a missing field, on a d that is
     not a JSON integer, on an endpoint that is neither a JSON string nor a
-    JSON integer, and on an interval that does not satisfy 0 <= lo < hi <= 1.
-    That the boxes tile the cube and are split generated is not checked here.
+    JSON integer, and on what the constructor refuses (see _checked).
     """
     def endpoint(e) -> Tuple[int, int]:  # (num, den), den > 0
         if type(e) is int:
@@ -262,20 +285,4 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
         raise ValueError(f"malformed decomposition JSON: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"malformed decomposition JSON: missing field {exc}") from None
-    if type(d) is not int:
-        raise ValueError(f"a decomposition needs an integer d, got {d!r}")
-    if d < 1 or not regions:
-        raise ValueError("a decomposition needs d >= 1 and at least one region")
-    for region in regions:
-        if len(region) != d:
-            from fractions import Fraction
-
-            region = tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in region)
-            raise ValueError(f"region {region} does not have {d} intervals")
-        for (a, b), (c, e) in region:  # a/b and c/e, b and e positive
-            if not (0 <= a and a * e < c * b and c <= e):
-                from fractions import Fraction
-
-                raise ValueError(f"interval ({Fraction(a, b)}, {Fraction(c, e)}) "
-                                 "does not satisfy 0 <= lo < hi <= 1")
-    return _decomposition(d, *_form(d, regions))
+    return _decomposition(d, *_form(d, _checked(d, regions)))

@@ -10,8 +10,8 @@ function mu.  On n = p_1^m_1 * ... * p_k^m_k it has the closed form
 B = 2^11 (`_BOUND`) off one gcd of n with the product of the primes up to B,
 the smooth-part step of Bernstein ("How to find smooth parts of integers",
 2004).  Trial division runs over the primes of that gcd, and above B only
-while what is left of n exceeds B^2.  `mobius_d` reads the exponents in one loop,
-which stops scanning once what is left of the gcd is prime, and builds no
+while what is left of n exceeds B^2.  The scan of the gcd stops once what is left
+of it is prime.  `mobius_d` reads the exponents in one loop and builds no
 factorization.  A range [lo, hi] applies the closed form through one prime-power
 sieve segmented over [lo, hi] (Bays & Hudson, BIT 17, 1977), whose primes come
 from a sieve of Eratosthenes segmented too; the table `mobius_d_values` is
@@ -68,13 +68,13 @@ def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
     primes = iter(_PRIMES)
     q = _BOUND // 6 * 6 - 1  # the pair 6j - 1, 6j + 1 with 6j <= B < 6j + 6
     while n > 1:
-        if g > 1:  # the next prime of g: what is left of g is prime once p^2 exceeds it
-            for p in primes:
-                if p * p > g:
-                    p = g
-                    break
-                if g % p == 0:
-                    break
+        if g > 1:  # the next prime of g
+            if g in _PRIME_SET:  # one prime of g is left (a g above B has two or more)
+                p = g
+            else:
+                for p in primes:
+                    if g % p == 0:
+                        break
             g //= p
         else:  # no prime factor up to B is left, so n is prime while n <= B^2
             p = n  # unless a candidate 6j - 1, 6j + 1 up to sqrt(n) divides it
@@ -97,7 +97,7 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
 
     One gcd of n with the product of the primes up to B = 2^11 gives the
     primes up to B that divide n.  Trial division runs over those primes
-    only, and stops once p^2 exceeds what is left of the gcd.  What is then
+    only, and stops once what is left of the gcd is prime.  What is then
     left of n has no prime factor up to B, so it is 1 or a prime while it is
     at most B^2.  Only above B^2 are the candidates 6j - 1 and 6j + 1 from B
     on tried, up to its square root.

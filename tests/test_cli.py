@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cubedecomp import cli, number_theory, series, trees
+import cubedecomp
+from cubedecomp import cli, number_theory, series
 from cubedecomp.number_theory import mobius_d
 from cubedecomp.series import decomposition_counts, refined_counts, series_from_list
 
@@ -654,9 +655,6 @@ TABLE_CAPS = [
     (["seq", "td", "--d", "1"], "td", "tree_counts"),
     (["refined", "--d", "1", "--r", "2"], "refined", "refined_counts"),
 ]
-# The module each of those functions lives in, where the command reads it when it runs.
-HOME = {"decomposition_counts": series, "auxiliary_counts": series, "tree_counts": trees,
-        "refined_counts": series}
 
 
 @pytest.mark.parametrize("argv, kind, compute", TABLE_CAPS)
@@ -664,7 +662,7 @@ def test_max_n_cap_exits_three_before_computing(capsys, monkeypatch, argv, kind,
     def refuse(*args):
         raise AssertionError(f"{compute} ran past the cap")
 
-    monkeypatch.setattr(HOME[compute], compute, refuse)
+    monkeypatch.setattr(cubedecomp, compute, refuse)  # the command reads it from the root
     code = cli.main(argv + ["--max-n", str(cli.MAX_N_CAPS[kind] + 1)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
@@ -681,7 +679,7 @@ def test_allow_large_passes_the_max_n_cap(capsys, monkeypatch, argv, kind, compu
         calls.append(args[-1])
         return series_from_list([0] * (args[-1] + 1)) if kind == "td" else [0] * (args[-1] + 1)
 
-    monkeypatch.setattr(HOME[compute], compute, zeros)
+    monkeypatch.setattr(cubedecomp, compute, zeros)
     cap = cli.MAX_N_CAPS[kind]
     for extra in ([str(cap)], [str(cap + 1), "--allow-large"]):
         code, out = run(capsys, *argv, "--max-n", *extra, "--format", "csv")
@@ -689,8 +687,9 @@ def test_allow_large_passes_the_max_n_cap(capsys, monkeypatch, argv, kind, compu
     assert calls == [cap, cap + 1]
 
 
-# Each table's --max-n starts at its first n (0 for ad, 1 for the others) and --d at 1;
-# cli checks both before it asks the library: (argv, the error line after "error: ").
+# Each table's --max-n starts at its first n (0 for ad, 1 for the others) and --d at 1,
+# and so do the other commands' lower bounds; cli checks each before it asks the library,
+# and before any cap: (argv, the error line after "error: ").
 TABLE_BOUNDS = [
     (["seq", "sd", "--d", "1", "--max-n", "0"], "--max-n must be >= 1, got 0"),
     (["seq", "td", "--d", "1", "--max-n", "0"], "--max-n must be >= 1, got 0"),
@@ -700,6 +699,12 @@ TABLE_BOUNDS = [
     (["seq", "td", "--d", "-1", "--max-n", "3"], "--d must be >= 1, got -1"),
     (["seq", "ad", "--d", "0", "--max-n", "3"], "--d must be >= 1, got 0"),
     (["refined", "--d", "0", "--r", "2", "--max-n", "3"], "--d must be >= 1, got 0"),
+    (["growth", "--d", "0..2"], "--d must be >= 1, got 0"),
+    (["lcm-count", "g", "--n", "0..3"], "--n must be >= 1, got 0"),
+    (["lcm-count", "h", "--n", "0..20000"], "--n must be >= 1, got 0"),
+    (["mu", "--d", "-1", "--n", "1..3"], "--d must be >= 0, got -1"),
+    (["mu", "--d", "1", "--n", "0..3"], "--n must be >= 1, got 0"),
+    (["mu", "--d", "1", "--n=-5..2000000"], "--n must be >= 1, got -5"),  # and over a cap
 ]
 
 
@@ -709,8 +714,10 @@ def test_table_bounds_name_the_option_before_computing(capsys, monkeypatch, argv
     def refuse(*args):
         raise AssertionError("the library was asked before the bounds were checked")
 
-    for _, _, compute in TABLE_CAPS:
-        monkeypatch.setattr(HOME[compute], compute, refuse)
+    for compute in [*(compute for _, _, compute in TABLE_CAPS), "find_saddle", "g_count",
+                    "h_count"]:
+        monkeypatch.setattr(cubedecomp, compute, refuse)
+    monkeypatch.setattr(number_theory, "_mobius_d_segment", refuse)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -727,7 +734,7 @@ def test_memory_error_exits_three_with_one_line(capsys, monkeypatch):
     def exhaust(*args):
         raise MemoryError
 
-    monkeypatch.setattr(series, "auxiliary_counts", exhaust)
+    monkeypatch.setattr(cubedecomp, "auxiliary_counts", exhaust)
     code = cli.main(["seq", "ad", "--d", "1", "--max-n", "10"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
@@ -809,7 +816,7 @@ FRACTION_MAKERS = [
     ("decomposition_from_json_dict({'d': 1, 'regions': [[['1/2', '3/2']]]})",
      "ValueError: interval (1/2, 3/2) does not satisfy 0 <= lo < hi <= 1"),
     ("decomposition_from_json_dict({'d': 2, 'regions': [[['0', '1/4']]]})",
-     "ValueError: region ((Fraction(0, 1), Fraction(1, 4)),) does not have 2 intervals"),
+     "ValueError: region ((0, 1/4)) does not have 2 intervals"),
 ]
 
 

@@ -261,6 +261,30 @@ def test_json_round_trip():
         interval_dec(F(1, 2)))
 
 
+# (d, regions) that both doors refuse, and the one ValueError text each gives
+BAD_REGIONS = [
+    (2, (((F(0), F(1)),),), "region ((0, 1)) does not have 2 intervals"),
+    (1, (((F(0), F(1)), (F(0), F(1))),), "region ((0, 1), (0, 1)) does not have 1 intervals"),
+    (1, (((F(1, 2), F(1, 4)),),), "interval (1/2, 1/4) does not satisfy 0 <= lo < hi <= 1"),
+    (1, (((F(-1, 2), F(1)),),), "interval (-1/2, 1) does not satisfy 0 <= lo < hi <= 1"),
+    (1, (((F(0), F(3, 2)),),), "interval (0, 3/2) does not satisfy 0 <= lo < hi <= 1"),
+    (1, (), "a decomposition needs d >= 1 and at least one region"),
+    (0, (((F(0), F(1)),),), "a decomposition needs d >= 1 and at least one region"),
+    ("1", (((F(0), F(1)),),), "a decomposition needs an integer d, got '1'"),
+]
+
+
+@pytest.mark.parametrize("d, regions, message", BAD_REGIONS, ids=[
+    f"d={d!r}:" + " ".join("x".join(f"{lo}:{hi}" for lo, hi in reg) for reg in regions)
+    for d, regions, _ in BAD_REGIONS])
+def test_the_constructor_and_the_json_reader_refuse_a_bad_region_alike(d, regions, message):
+    payload = {"d": d, "regions": [[[str(lo), str(hi)] for lo, hi in reg] for reg in regions]}
+    for build in (lambda: Decomposition(d, regions), lambda: decomposition_from_json_dict(payload)):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 @contextmanager
 def shallow_stack(frames=80):
     """Allow only `frames` Python frames above the caller's depth."""

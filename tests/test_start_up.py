@@ -2,6 +2,7 @@
 a library session makes compiles a module of the package, and a `python -m
 cubedecomp.cli` start loads only the modules its command uses."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -192,7 +193,7 @@ def test_a_cli_start_loads_only_what_its_command_uses(tmp_path, command):
 
 def test_the_lazy_root_binds_each_name_on_its_first_read():
     # sys.argv[0] is "-m" while `python -m cubedecomp.cli` imports the root: no name binds
-    # up front, and the CLI never reads one, so only this test reads the lazy root
+    # up front, and each CLI command reads its public names through the root, binding them
     code = ("import sys; sys.argv[0] = '-m'\n"
             "import importlib, cubedecomp\n"
             "def loaded(): return sorted(m[11:] for m in sys.modules if m[:11] == 'cubedecomp.')\n"
@@ -207,6 +208,36 @@ def test_the_lazy_root_binds_each_name_on_its_first_read():
             "       or getattr(cubedecomp, name) is not\n"
             "       getattr(importlib.import_module('cubedecomp.' + home), name)])\n")
     assert run_fresh(code) == "[]\n['_frozen', 'number_theory', 'series']\nTrue\n[]\n"
+
+
+def home_imports(source: str):
+    """(line, module, name) of each `from .<module> import <name>` of a name in _HOMES
+    outside an `if TYPE_CHECKING:` block, function-local imports included."""
+    public = {name for names in cubedecomp._HOMES.values() for name in names}
+    nodes = [ast.parse(source)]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            nodes += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            yield from ((node.lineno, node.module, alias.name) for alias in node.names
+                        if alias.name in public)
+        nodes += ast.iter_child_nodes(node)
+
+
+def test_the_home_import_guard_sees_local_imports_and_skips_type_checking():
+    source = ("from . import phi, _HOMES\nfrom .number_theory import _mobius_d_segment\n"
+              "if TYPE_CHECKING:\n    from .geometry import Decomposition\n"
+              "def f():\n    from .series import refined_counts, _pack\n")
+    assert list(home_imports(source)) == [(6, "series", "refined_counts")]
+
+
+@pytest.mark.parametrize("module", ["cli", "_verify"])
+def test_the_cli_and_the_verify_suites_read_public_names_through_the_root(module):
+    # then _HOMES alone says where a name lives, and moving a def touches neither file
+    source = (ROOT / "src" / "cubedecomp" / f"{module}.py").read_text(encoding="utf-8")
+    assert sorted(home_imports(source)) == []
 
 
 def test_each_oracle_has_one_home_that_serves_it_and_each_home_serves_its_names():
