@@ -1,7 +1,7 @@
 """The self-check suites that `cubedecomp verify` runs, and their frozen tables.
 
-A check returns None or raises AssertionError.  `cli` imports this module only
-when `verify` runs, so no other command compiles it.
+A check returns None or raises AssertionError.  `_commands` imports this
+module only when `verify` runs, so no other command compiles it.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class Decomposition(Frozen):
     _key = ("d", "Ls", "grid")
 
     def __new__(cls, d: int, regions: Iterable[Region]):
-        pairs = [[tuple((e.numerator, e.denominator) for e in iv) for iv in reg] for reg in regions]
+        pairs = [[tuple(map(_ratio, iv)) for iv in reg] for reg in regions]
         return _decomposition(d, *_form(d, _checked(d, pairs)))
 
     def __reduce__(self):  # __new__ takes regions, not the form
@@ -92,6 +92,18 @@ def _decomposition(d: int, Ls: Tuple[int, ...], grid: tuple) -> Decomposition:
     for name, value in zip(Decomposition.__slots__, (d, Ls, grid, None)):
         object.__setattr__(dec, name, value)
     return dec
+
+
+def _ratio(e) -> Tuple[int, int]:
+    """(num, den) of an int or Fraction endpoint; else ValueError, as the JSON reader
+    refuses a float (0.1 is not 1/10) and a bool (not a number)."""
+    if type(e) is int:
+        return e, 1
+    from fractions import Fraction  # loaded already when e is one
+
+    if not isinstance(e, Fraction):
+        raise ValueError(f"endpoint {e!r} is not an integer or a Fraction")
+    return e.numerator, e.denominator
 
 
 def _checked(d: int, regions: list) -> list:

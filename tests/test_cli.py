@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cubedecomp
-from cubedecomp import cli, number_theory, series
+from cubedecomp import _commands, cli, number_theory, series
 from cubedecomp.number_theory import mobius_d
 from cubedecomp.series import decomposition_counts, refined_counts, series_from_list
 
@@ -490,7 +490,8 @@ def test_a_broken_pipe_on_the_emit_file_stays_an_error(capsys, monkeypatch):
         def write(self, text):
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
-    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: ClosedPipe(), raising=False)
+    monkeypatch.setattr(_commands, "open", lambda *args, **kwargs: ClosedPipe(),
+                        raising=False)
     code = cli.main(["enum", "decomp", "--d", "1", "--n", "3", "--emit", "fifo"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -557,6 +558,58 @@ def test_oracle_commands_print_the_pinned_bytes_in_a_fresh_process(command):
     code, out, err = run_module(shlex.split(command))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORACLE_COMMAND_SHA256[command]
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+# What the parser prints for help, the version and usage errors, as (exit code, sha256 of
+# stdout, of stderr) at 80 columns.  The parser gives arguments only to the command that
+# the command line names, so each command's help and usage must still list all of its own.
+HELP_SURFACE = {
+    "--help":
+        (0, "f84d918dc31329c18ac0e8a93d03a1736a7a21e572d130eb91cf7fa12131d97f", EMPTY),
+    "--version":
+        (0, "5ae48ddf0477cd8e5b2915e95bcef31170a67a13eb43c44e432e2e8dd0f8b644", EMPTY),
+    "mu --help":
+        (0, "1014d2518147a8034d04d78366099b9fa96d25fdd28c8dfda55a6ffbaf6e27b8", EMPTY),
+    "seq --help":
+        (0, "6eaed2bc9f154caf9359d481ca0674e56512d7f54355279ba5345d7cea085684", EMPTY),
+    "refined --help":
+        (0, "8cf9f727cc85cca1145e0aacb95c1688343c2c4b855a6d1e09305c8b3fc1cd68", EMPTY),
+    "enum --help":
+        (0, "abbd01f8068ad4c23fc65f1f64cc63974be8ddcfc4ebe5c5d1051201bb8dc0f1", EMPTY),
+    "phi --help":
+        (0, "38a03b9ab2871a86bc616713b3dc099105a48f452ac391ce1deb14999c40140a", EMPTY),
+    "psi --help":
+        (0, "4f8a134bb8d87744fafcc03d5d3100d26d333dae87dea19b0b501d7e76bc5c5b", EMPTY),
+    "growth --help":
+        (0, "7effd7af041f4cbf4f7adeceab8f375da0b0bd782401e567bb89d1b642c98207", EMPTY),
+    "lcm-count --help":
+        (0, "4e8dd48b9e1d78003847544089b3689e1d71f0153bd9b107c4431f1e469e811b", EMPTY),
+    "verify --help":
+        (0, "f16a303747a78ddd23287af1e84460ccbbf585fc41fe48e6e9e86e4556c605cf", EMPTY),
+    "":
+        (1, EMPTY, "8de3ad88566c6df16aeb16db10f0fb78db07403f934363e69bc501e67bd31a5d"),
+    "seq":
+        (1, EMPTY, "d1096e058b20041ff43b1a3b4bf0c759dbb1eef82fc12df724bee7b58e9e1d29"),
+    "bogus":
+        (1, EMPTY, "fefbb8d23c63606c842847ff1d2040f4920addc5bac0bda8ee062e3fd45777bf"),
+    "seq sd --d 1":
+        (1, EMPTY, "9bc371986de6c32fcfc12de167d32ea9ec2ef78a8d15fb6f664a8b6fffa12bf2"),
+    "--format csv seq sd --d 1 --max-n 3":  # a subcommand's option before the command
+        (1, EMPTY, "4ba2cdc4d54e8a044824aac992c4e49373062e18eb6bf2b1e3b9a59cbdd0347e"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests are of CPython 3.11's argparse layout")
+@pytest.mark.parametrize("command", list(HELP_SURFACE))
+def test_the_help_and_the_usage_errors_print_the_pinned_bytes(command):
+    proc = subprocess.run([sys.executable, "-m", "cubedecomp.cli", *command.split()],
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                               "COLUMNS": "80"})
+    digests = [hashlib.sha256(stream).hexdigest() for stream in (proc.stdout, proc.stderr)]
+    assert (proc.returncode, *digests) == HELP_SURFACE[command]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -705,6 +758,15 @@ TABLE_BOUNDS = [
     (["mu", "--d", "-1", "--n", "1..3"], "--d must be >= 0, got -1"),
     (["mu", "--d", "1", "--n", "0..3"], "--n must be >= 1, got 0"),
     (["mu", "--d", "1", "--n=-5..2000000"], "--n must be >= 1, got -5"),  # and over a cap
+    (["growth", "--d", "1", "--k", "0"], "--k must be in 1..16, got 0"),
+    (["growth", "--d", "1..3", "--k", "17"], "--k must be in 1..16, got 17"),
+    (["growth", "--d", "1", "--tol", "0"], "--tol must be finite and positive, got 0.0"),
+    (["growth", "--d", "1", "--tol", "nan"], "--tol must be finite and positive, got nan"),
+    (["lcm-count", "g", "--r", "0"], "--r entries must be >= 1, got 0"),
+    (["lcm-count", "h", "--r", "2,-1,3"], "--r entries must be >= 1, got -1"),
+    (["refined", "--d", "1", "--r", "0", "--max-n", "3"], "--r entries must be >= 1, got 0"),
+    (["refined", "--d", "1", "--r", "0", "--max-n", "601"],  # before the cap
+     "--r entries must be >= 1, got 0"),
 ]
 
 

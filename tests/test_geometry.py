@@ -285,6 +285,14 @@ def test_the_constructor_and_the_json_reader_refuse_a_bad_region_alike(d, region
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("endpoint", [0.0, "0", False, None], ids=repr)
+def test_the_constructor_refuses_an_endpoint_that_is_no_integer_or_fraction(endpoint):
+    # as the JSON reader refuses a float and a bool: 0.1 is not 1/10, and False is no number
+    with pytest.raises(ValueError) as refused:
+        Decomposition(1, (((endpoint, F(1)),),))
+    assert str(refused.value) == f"endpoint {endpoint!r} is not an integer or a Fraction"
+
+
 @contextmanager
 def shallow_stack(frames=80):
     """Allow only `frames` Python frames above the caller's depth."""

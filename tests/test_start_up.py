@@ -144,18 +144,19 @@ def test_the_tracer_wraps_each_traced_name_where_the_root_reads_it():
 
 # Each start of the cold benchmark, `python -m cubedecomp.cli ARGV`, and the package modules
 # it loads beyond the root (the CLI itself runs as __main__).
-SERIES = ["_frozen", "number_theory", "series"]
+SERIES = ["_commands", "_frozen", "number_theory", "series"]
 CLI_STARTS = {
     "--version": [],
-    "mu --d 3 --n 1..40000": ["number_theory"],
-    "lcm-count g --n 1..2000": ["lcm_counts", "number_theory"],
-    "growth --d 1..30": ["_frozen", "asymptotics", "number_theory"],
+    "mu --d 3 --n 1..40000": ["_commands", "number_theory"],
+    "lcm-count g --n 1..2000": ["_commands", "lcm_counts", "number_theory"],
+    "growth --d 1..30": ["_commands", "_frozen", "asymptotics", "number_theory"],
     "seq sd --d 1 --max-n 140": SERIES,
     "seq sd --d 2 --max-n 140": SERIES,
     "seq sd --d 3 --max-n 140": SERIES,
     "seq ad --d 3 --max-n 1400": SERIES,
     "refined --d 2 --r 2,1 --max-n 110": SERIES,
-    "seq td --d 3 --max-n 560": ["_frozen", "geometry", "number_theory", "series", "trees"],
+    "seq td --d 3 --max-n 560": ["_commands", "_frozen", "geometry", "number_theory", "series",
+                                 "trees"],
 }
 REFERENCES = json.loads((BENCH / "references.json").read_text(encoding="utf-8"))
 
@@ -189,6 +190,38 @@ def test_a_cli_start_loads_only_what_its_command_uses(tmp_path, command):
         assert proc.stdout == f"cubedecomp {cubedecomp.__version__}\n".encode()
     else:
         assert hashlib.sha256(proc.stdout).hexdigest() == REFERENCES[command]["stdout_sha256"]
+
+
+# Run by site before -m locates the module to run: at exit it writes the modules the
+# process loaded after site to modules.txt beside itself.
+NEW_MODULES_HOOK = """import atexit, os, sys
+
+_before = set(sys.modules)
+
+def _record():
+    with open(os.path.join(os.path.dirname(__file__), "modules.txt"), "w") as fh:
+        fh.write(" ".join(sorted(set(sys.modules) - _before)))
+
+atexit.register(_record)
+"""
+
+
+@pytest.mark.parametrize("command", ["--version", "--help"])
+def test_the_version_and_the_help_load_neither_the_command_bodies_nor_json(tmp_path, command):
+    (tmp_path / "sitecustomize.py").write_text(NEW_MODULES_HOOK, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "cubedecomp.cli", command],
+                          capture_output=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{SRC}"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    loaded = (tmp_path / "modules.txt").read_text(encoding="utf-8").split()
+    assert "argparse" in loaded  # the hook saw the start
+    assert {"cubedecomp._commands", "json"}.isdisjoint(loaded)
+
+
+def test_a_library_import_of_the_cli_loads_the_command_bodies_at_once():
+    # as the package root binds its names at once: then no command compiles a module
+    assert run_fresh("import sys, cubedecomp.cli\n"
+                     "print('cubedecomp._commands' in sys.modules)\n") == "True\n"
 
 
 def test_the_lazy_root_binds_each_name_on_its_first_read():
@@ -233,7 +266,7 @@ def test_the_home_import_guard_sees_local_imports_and_skips_type_checking():
     assert list(home_imports(source)) == [(6, "series", "refined_counts")]
 
 
-@pytest.mark.parametrize("module", ["cli", "_verify"])
+@pytest.mark.parametrize("module", ["cli", "_commands", "_verify"])
 def test_the_cli_and_the_verify_suites_read_public_names_through_the_root(module):
     # then _HOMES alone says where a name lives, and moving a def touches neither file
     source = (ROOT / "src" / "cubedecomp" / f"{module}.py").read_text(encoding="utf-8")
