@@ -48,6 +48,21 @@ def _on_first_use(namespace: dict, homes: dict):
 
 __version__ = "0.1.0"
 MAX_K = 16  # the largest truncation exponent of the asymptotics, whose tables hold 2^k - 1 terms
+# The CLI's size caps, which --allow-large lifts, and its --suite names (not in __all__).
+ENUM_CAP = 100_000
+LCM_PRODUCT_CAP = 10_000
+# Largest --max-n per table kind: each takes about 10 s or less at d = 3 on a
+# 2-core x86-64 VM (sd 600: 7.1 s, ad 6000: 8.3 s, refined 600: 7.6 s).  td
+# runs in under 1 s to 5000.
+MAX_N_CAPS = {"sd": 600, "ad": 6000, "td": 5000, "refined": 600}
+# mu --n A..B sieves B - A + 1 values by the primes up to isqrt(B); at either cap a fresh
+# process takes under 1 s on that VM (1..10^6 at d = 3: 0.9 s, 10^14..10^14+2000: 0.55 s).
+# Past the root cap, --allow-large still sieves every prime up to isqrt(B), however narrow
+# the range, one block at a time (n = 10^16 alone: 4.1-4.6 s, 16.6 MB peak RSS); library
+# mobius_d answers that point in 62 us.
+MU_CAPS = {"width": 1_000_000, "root": 10_000_000}
+# The suites of `_verify.SUITES`, in their order; `--suite` offers these and "all".
+SUITE_NAMES = ("tables", "oracles", "bijection", "asymptotics")
 
 # Every public name, under the package module that keeps it.  A name that lives in _oracles
 # is read through its home module, so a name rebound there (by a tracer) is the one read here.

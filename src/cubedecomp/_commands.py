@@ -1,10 +1,12 @@
-"""The bodies of the CLI commands, their size caps and their output helpers.
+"""The bodies of the CLI commands and their output helpers.
 
 `cli.main` imports this module once a command line has parsed, and runs
 `_cmd_<command>` on it; `--version`, `--help` and a usage error never compile
-it.  It never imports `cli`: under `python -m cubedecomp.cli` the CLI runs as
-`__main__`, so an import of `cubedecomp.cli` would load a second copy of it.
-See `cli` for the output records and the exit codes.
+it.  The size caps it enforces live in the package root beside `MAX_K`, where
+the parser reads them for its help.  It never imports `cli`: under `python -m
+cubedecomp.cli` the CLI runs as `__main__`, so an import of `cubedecomp.cli`
+would load a second copy of it.  See `cli` for the output records and the exit
+codes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
-from . import MAX_K
+from . import ENUM_CAP, LCM_PRODUCT_CAP, MAX_K, MAX_N_CAPS, MU_CAPS, SUITE_NAMES
 
 # Commands read public names through the package root, which under `python -m` binds
 # each on its first read, so a start compiles only what its command uses.
@@ -25,20 +27,6 @@ if TYPE_CHECKING:
     from .geometry import Decomposition
 
 SCHEMA = "cubedecomp.v1"
-ENUM_CAP = 100_000
-LCM_PRODUCT_CAP = 10_000
-# Largest --max-n per table kind: each takes about 10 s or less at d = 3 on a
-# 2-core x86-64 VM (sd 600: 7.1 s, ad 6000: 8.3 s, refined 600: 7.6 s).  td
-# runs in under 1 s to 5000.
-MAX_N_CAPS = {"sd": 600, "ad": 6000, "td": 5000, "refined": 600}
-# mu --n A..B sieves B - A + 1 values by the primes up to isqrt(B); at either cap a fresh
-# process takes under 1 s on that VM (1..10^6 at d = 3: 0.9 s, 10^14..10^14+2000: 0.55 s).
-# Past the root cap, --allow-large still sieves every prime up to isqrt(B), however narrow
-# the range, one block at a time (n = 10^16 alone: 4.1-4.6 s, 16.6 MB peak RSS); library
-# mobius_d answers that point in 62 us.
-MU_CAPS = {"width": 1_000_000, "root": 10_000_000}
-# The suites of `_verify.SUITES`, in their order; `--suite` offers these and "all".
-SUITE_NAMES = ("tables", "oracles", "bijection", "asymptotics")
 
 
 class _ResourceCap(Exception):

@@ -8,7 +8,11 @@ sum_{n < 2^k} mu_d(n) x^n; one Horner routine evaluates all three over the
 weights n(n-1)..(n-deriv+1) mu_d(n), rounded to binary64 once per (d, k) as a
 float + int addition would round them, with a certified bound on the discarded
 tail.  The sign of a partial sum is a binary64 decision, which near the root of
-M_d' is within rounding of zero and so is not certified there.
+M_d' is within rounding of zero and so is not certified there.  So `find_saddle`
+certifies each end of `saddle_bracket` by one rule: an end stands when M_d'
+there, with the sign that end needs, exceeds its tail bound, and otherwise
+moves halfway toward the far edge of its side, at most 64 times: 0 on the
+left, and on the right the end of the range where the M_d' tail bound holds.
 
 Tail bounds.  A dyadic block n in [2^l, 2^(l+1)) has at most l prime factors
 with multiplicity, so |mu_d(n)| <= d^l there; summing blocks geometrically
@@ -154,7 +158,10 @@ def saddle_bracket(d: int) -> Tuple[float, float]:
 
 
 def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleResult:
-    """Bisect M_d' to its root with tail-certified signs at every step, or raise ValueError."""
+    """Bisect M_d' to its root with tail-certified signs at every step, or raise ValueError.
+
+    An end of saddle_bracket(d) whose sign M_d' does not certify moves halfway toward 0
+    (left) or 1/(2d), the end of eval_M_prime's range for d >= 2 (right), up to 64 times."""
     if not 0 < tol < math.inf:  # also rejects NaN, which would pass every tail check
         raise ValueError(f"tol must be finite and positive, got {tol}")
     lo, hi = saddle_bracket(d)
@@ -168,18 +175,17 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
         tails.append(tail)
         return value, tail
 
-    f_lo, tail = signed(lo)
-    # the closed-form lo certifies a majorant's sign, not M_d's own; back off
-    # toward 0 (where M_d'(x) -> 1) in the rare case the true sign is uncertain
-    while f_lo - tail <= 0:
-        lo /= 2
-        if lo < 1e-6:
-            raise ValueError(f"no certified positive left endpoint for d={d}")
-        f_lo, tail = signed(lo)
-    f_hi, tail = signed(hi)
-    if f_hi + tail >= 0:
-        raise ValueError(f"right endpoint {hi} not certified negative for d={d}: "
-                         f"M'={f_hi} tail={tail}")
+    def certified(x: float, sign: int, edge: float) -> float:
+        """x, or the first of 64 moves halfway toward edge, where sign M_d' exceeds its tail."""
+        for _ in range(65):
+            value, tail = signed(x)
+            if sign * value > tail:
+                return x
+            x = 0.5 * (x + edge)
+        raise ValueError(f"no certified {'left' if sign > 0 else 'right'} endpoint for d={d}")
+
+    lo = certified(lo, 1, 0.0)
+    hi = certified(hi, -1, 1 / (2 * d) if d >= 2 else math.nextafter(1.0, 0.0))
 
     while True:
         mid = 0.5 * (lo + hi)
@@ -200,12 +206,5 @@ def find_saddle(d: int, tol: float = DEFAULT_TOL, k: int = DEFAULT_K) -> SaddleR
     m2_value, m2_tail = eval_M_second(d, s, k)
     if not m2_value < 0:
         raise ValueError(f"second derivative {m2_value} not negative at s={s}")
-    return SaddleResult(
-        d=d,
-        s=s,
-        M_at_s=m_value,
-        M2_at_s=m2_value,
-        growth_rate=1 / m_value,
-        truncation_order=2 ** k,
-        tail_bound_used=max(*tails, m_tail, m2_tail),
-    )
+    return SaddleResult(d=d, s=s, M_at_s=m_value, M2_at_s=m2_value, growth_rate=1 / m_value,
+                        truncation_order=2 ** k, tail_bound_used=max(*tails, m_tail, m2_tail))

@@ -18,11 +18,12 @@ one line of values for coefficient tables, one line per object for
 enumerations.  `--threads` is accepted for interface stability; every
 computation runs on the deterministic single-threaded reference path.
 
-This module parses the command line.  The command bodies, their size caps
-and the output helpers live in `cubedecomp._commands`, which `main` imports
-once a command line has parsed, so `--version`, `--help` and a usage error
-of the top-level parser compile neither them nor `json`; a parser is built
-with the arguments of the one command that its command line names.
+This module parses the command line; the caps its help names live in the
+package root beside `MAX_K`.  The command bodies and the output helpers live
+in `cubedecomp._commands`, which `main` imports once a command line has
+parsed, so `--version`, `--help` and a line that fails to parse compile neither
+them nor `json`; a parser is built with the arguments of the one command that
+its command line names.
 
 Exit codes: 0 success, 1 usage or computation error, 2 verification
 failure, 3 resource cap exceeded (see `--allow-large`) or memory exhausted.
@@ -32,7 +33,8 @@ import argparse
 import os
 import sys
 
-from . import MAX_K, __version__, _on_first_use
+from . import (ENUM_CAP, LCM_PRODUCT_CAP, MAX_K, MAX_N_CAPS, MU_CAPS, SUITE_NAMES, __version__,
+               _on_first_use)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,9 +82,7 @@ COMMANDS = {
 
 
 def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Give command's parser p its arguments; their help reads the caps from _commands."""
-    from . import _commands as c
-
+    """Give command's parser p its arguments; their help reads the caps from the package root."""
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default: JSON lines)")
     p.add_argument("--threads", type=int, default=1, metavar="N",
@@ -92,25 +92,25 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     if command == "mu":
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--n", type=_parse_range, required=True, metavar="A..B")
-        large = (f"lift the caps of {c.MU_CAPS['width']} values and of "
-                 f"primes up to {c.MU_CAPS['root']} (B up to about 10^14)")
+        large = (f"lift the caps of {MU_CAPS['width']} values and of "
+                 f"primes up to {MU_CAPS['root']} (B up to about 10^14)")
     elif command == "seq":
         p.add_argument("kind", choices=("sd", "ad", "td"))
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--max-n", type=int, required=True)
-        caps = c.MAX_N_CAPS
+        caps = MAX_N_CAPS
         large = f"lift the --max-n cap (sd {caps['sd']}, ad {caps['ad']}, td {caps['td']})"
     elif command == "refined":
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--r", type=_parse_int_vector, required=True, metavar="R1,..,RD")
         p.add_argument("--max-n", type=int, required=True)
-        large = f"lift the --max-n cap {c.MAX_N_CAPS['refined']}"
+        large = f"lift the --max-n cap {MAX_N_CAPS['refined']}"
     elif command == "enum":
         p.add_argument("target", choices=("decomp", "necs", "trees"))
         p.add_argument("--d", type=int, default=1)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--emit", metavar="FILE", help="write one object per line to FILE")
-        large = f"lift the {c.ENUM_CAP}-object cap"
+        large = f"lift the {ENUM_CAP}-object cap"
     elif command == "phi":
         p.add_argument("--in", dest="infile", required=True, metavar="FILE",
                        help="decomposition JSON ('-' for stdin)")
@@ -126,9 +126,9 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--r", type=_parse_int_vector, metavar="R1,..,RD")
         p.add_argument("--n", type=_parse_range, metavar="A..B",
                        help="one-dimensional table over a range")
-        large = f"lift the product cap {c.LCM_PRODUCT_CAP}"
+        large = f"lift the product cap {LCM_PRODUCT_CAP}"
     elif command == "verify":
-        p.add_argument("--suite", choices=(*c.SUITE_NAMES, "all"), default="all")
+        p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
     if large:
         p.add_argument("--allow-large", action="store_true", help=large)
 
@@ -178,13 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-# The frozen tables that bench/make_references.py reads, and the caps and output helpers
-# that tests read, load on first read from where they live.
+# The frozen tables that bench/make_references.py reads load on first read from _verify.
 __getattr__ = _on_first_use(globals(), {
     "_verify": ("SUITES", "MU_TABLE", "S_TABLE", "A_TABLE", "G_ROW", "H_ROW", "SCHROEDER",
-                "GROWTH_EXCESS"),
-    "_commands": ("MU_CAPS", "MAX_N_CAPS", "LCM_PRODUCT_CAP", "SUITE_NAMES", "_record",
-                  "_print_values")})
+                "GROWTH_EXCESS")})
 
 if __name__ == "__main__":
     sys.exit(main())

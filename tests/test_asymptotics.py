@@ -1,6 +1,7 @@
 """Certified series evaluation, saddle points, and growth-rate estimates."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -124,8 +125,29 @@ def test_growth_rate_excess_over_linear_form():
     assert check_growth_bounds(2)
     assert check_growth_bounds(17)
     assert check_growth_bounds(30)
+    assert check_growth_bounds(10**3)
     with pytest.raises(ValueError):
         check_growth_bounds(1)
+
+
+def expansion_3(d):
+    """K_d through d^-3 of its series in 1/d, exactly.
+
+    Put t = d x: d M_d(t/d) = sum_n mu_d(n) d^(1-n) t^n, and mu_d(n) is a polynomial in d of
+    degree Omega(n), so each power of 1/d collects finitely many n (t - t^2 at order 0).
+    Maximizing in t order by order gives the rational coefficients of K_d = d / M_d(s) up to
+    395/3072; the paper's bounds are the first three terms."""
+    return (4 * d + Fraction(3, 2) + Fraction(1, 16 * d) - Fraction(21, 128 * d**2)
+            + Fraction(395, 3072 * d**3))
+
+
+@pytest.mark.parametrize("d", [30, 40, 60, 100, 200, 300, 10**3, 3 * 10**3, 10**4, 89656,
+                               95062, 10**5, 10**6, 10**9, 10**12])
+def test_saddle_agrees_with_the_expansion_in_one_over_d(d):
+    # the constant 0.05 was measured, not derived: (K_d - expansion_3(d)) d^4 reads 0.016-0.022
+    # for d = 30..300, and from d = 10^3 on the two agree to within one ulp of K_d
+    K = find_saddle(d).growth_rate
+    assert abs(Fraction(K) - expansion_3(d)) <= Fraction(0.05) / d**4 + 4 * Fraction(math.ulp(K))
 
 
 def test_saddle_json_payload():

@@ -6,6 +6,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -117,7 +118,7 @@ def test_table_rows_are_canonical_records(capsys, args, command, params, provena
     code, out = run(capsys, *args)
     assert code == 0
     assert out.splitlines() == [
-        cli._record(command, params, provenance, {"n": n, "value": str(v)})
+        _commands._record(command, params, provenance, {"n": n, "value": str(v)})
         for n, v in enumerate(values, start=1)
     ]
 
@@ -307,14 +308,27 @@ def test_growth_rejects_k_beyond_the_limit(capsys, k):
     one_line_error(capsys, ["growth", "--d", "1", "--k", k])
 
 
-@pytest.mark.parametrize("d", ["95062", "95062..95062", str(10**21)])
+@pytest.mark.parametrize("d", [str(10**16), str(10**21)])
 def test_growth_past_what_binary64_certifies_exits_one(capsys, d):
-    # from d = 95062 up M_d' at the bracket's right end rounds to a value that
-    # certifies no sign
+    # from about d = 10^16 on M_d' rounds to a value that certifies no sign at any right end
+    # between the bracket's and 1/(2d)
     one_line_error(capsys, ["growth", "--d", d])
 
 
-def test_growth_at_the_last_certified_d_keeps_its_bytes(capsys):
+@pytest.mark.parametrize("d", ["95062", "95062..95062"])
+def test_growth_where_the_bracket_rounds_to_no_sign_moves_its_end(capsys, d):
+    # M_d' at the bracket's right end is 0.0 here: the end moves toward 1/(2d), and K_d agrees
+    # with its series in 1/d to 4 ulp (see test_asymptotics' expansion_3)
+    code, out = run(capsys, "growth", "--d", d)
+    assert code == 0
+    (rate,) = [record["result"]["growth_rate"] for record in records(out)]
+    n = 95062
+    expansion = 4 * n + 1.5 + 1 / (16 * n) - 21 / (128 * n**2) + 395 / (3072 * n**3)
+    assert abs(rate - expansion) <= 4 * math.ulp(rate)
+
+
+def test_growth_where_the_left_end_backs_off_keeps_its_bytes(capsys):
+    # M_d' at the bracket's left end certifies no sign for d = 95061: the end halves once
     code, out = run(capsys, "growth", "--d", "95061")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -837,7 +851,7 @@ def test_seq_td_writes_values_beyond_the_int_digit_limit(capsys):
 
 def test_csv_values_beyond_the_int_digit_limit_and_the_limit_comes_back(capsys):
     big = 7 * 10**5000
-    cli._print_values("seq", {}, "series", "csv", [(1, -big), (2, big)])
+    _commands._print_values("seq", {}, "series", "csv", [(1, -big), (2, big)])
     assert capsys.readouterr().out == f"-7{'0' * 5000},7{'0' * 5000}\n"
     if hasattr(sys, "get_int_max_str_digits"):  # Python >= 3.11: input keeps the limit
         with pytest.raises(ValueError):
