@@ -46,6 +46,14 @@ def _on_first_use(namespace: dict, homes: dict):
     return __getattr__
 
 
+def _check_d(d: int, least: int = 1) -> None:
+    """The one dimension rule: d is an int (not a bool or a float) and d >= least."""
+    if type(d) is not int:  # a float or bool d would reach the integer tables
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < least:
+        raise ValueError(f"d must be >= {least}, got {d}")
+
+
 __version__ = "0.1.0"
 MAX_K = 16  # the largest truncation exponent of the asymptotics, whose tables hold 2^k - 1 terms
 # The CLI's size caps, which --allow-large lifts, and its --suite names (not in __all__).

@@ -218,8 +218,6 @@ def _cmd_psi(args) -> int:
         d, raw = data["d"], data["tree"]
     except KeyError as exc:
         raise ValueError(f"malformed psi input: missing field {exc}") from None
-    if type(d) is not int:
-        raise ValueError(f"psi needs an integer d, got {d!r}")
     # tree_from_json loads _oracles, which the text form does not
     tree = lib.parse_tree(raw) if isinstance(raw, str) else lib.tree_from_json(raw)
     dec = lib.psi(tree, d)

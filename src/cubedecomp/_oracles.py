@@ -28,7 +28,8 @@ import math
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from . import asymptotics, covering, geometry, number_theory, prime_sequences, series, trees
+from . import (_check_d, asymptotics, covering, geometry, number_theory, prime_sequences, series,
+               trees)
 
 # ------------------------------------------------------------ number_theory
 
@@ -54,8 +55,7 @@ def dirichlet_convolve(a: List[int], b: List[int]) -> List[int]:
 
 def mobius_d_by_convolution(d: int, max_n: int) -> List[int]:
     """mu_d via d-fold self-convolution of mu; the independent slow route."""
-    if d < 0:
-        raise ValueError(f"requires d >= 0, got {d}")
+    _check_d(d, 0)
     delta = [0] * (max_n + 1)
     if max_n >= 1:
         delta[1] = 1
@@ -118,13 +118,13 @@ def _revert_by_extraction(d: int, max_n: int) -> List[int]:
 
 
 def trivial_decomposition(d: int) -> geometry.Decomposition:
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_d(d)
     return geometry._decomposition(d, (1,) * d, ((0, 1) * d,))
 
 
 def grid_decomposition(r: Tuple[int, ...]) -> geometry.Decomposition:
     """The grid decomposition D_r with r_i equal slabs along axis i."""
+    _check_d(len(r))
     if any(ri < 1 for ri in r):
         raise ValueError(f"grid arities must be >= 1, got {r}")
     cells = product(*[[(j, j + 1) for j in range(ri)] for ri in r])
@@ -152,6 +152,7 @@ def refines_grid(dec: geometry.Decomposition, r: Tuple[int, ...]) -> bool:
 
 
 def unit_region(d: int) -> geometry.Region:
+    _check_d(d)
     from fractions import Fraction
 
     return ((Fraction(0), Fraction(1)),) * d
@@ -392,6 +393,7 @@ def leaf_count(tree: trees.PlaneTree) -> int:
 
 def validate_tree(tree: trees.PlaneTree, d: int) -> None:
     """Raise ValueError unless every internal node has a label in 1..d and >= 2 children."""
+    _check_d(d)
     for node in _preorder(tree):
         trees._children(node, d)
 
@@ -459,8 +461,9 @@ def enumerate_trees(d: int, n: int) -> Set[trees.PlaneTree]:
     of arity r and the ordered subtrees of each composition of k into r
     parts.  The levels live only as long as the call.
     """
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    _check_d(d)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     levels: List[Tuple[trees.PlaneTree, ...]] = [(), (trees.LEAF,)]
     for k in range(2, n + 1):
         levels.append(tuple(
@@ -606,6 +609,7 @@ def log_asymptotic_estimate(d: int, n: int,
     log of n^(-3/2) M_d(s)^(1/2 - n) / sqrt(-2 pi M_d''(s)); usable far past
     the n where the estimate itself leaves binary64 range.
     """
+    _check_d(d)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if saddle is None:
@@ -631,9 +635,10 @@ def asymptotic_estimate(d: int, n: int, saddle: asymptotics.SaddleResult | None 
 
 def check_growth_bounds(d: int, tol: float = asymptotics.DEFAULT_TOL,
                         k: int = asymptotics.DEFAULT_K) -> bool:
-    """Whether K_d lies in [4d + 3/2, 4d + 3/2 + 1/(16d)]; defined for d >= 2 only."""
-    if d < 2:
-        raise ValueError(f"growth bounds are stated for d >= 2 only, got d={d}")
+    """Whether K_d lies in [4d + 3/2, 4d + 3/2 + 1/(16d)]; defined for d >= 2 only.  It
+    compares binary64 values, so from about d = 6*10^4, where K_d is an ulp or two below the
+    upper end, rounding decides the answer: it is False at d = 10^6."""
+    _check_d(d, 2)
     rate = asymptotics.find_saddle(d, tol=tol, k=k).growth_rate
     lower = 4 * d + 1.5
     return lower <= rate <= lower + 1 / (16 * d)

@@ -34,7 +34,7 @@ from array import array
 from functools import lru_cache
 from typing import Tuple
 
-from . import MAX_K, _HOMES, _on_first_use
+from . import MAX_K, _HOMES, _check_d, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
@@ -58,18 +58,10 @@ _mu_table, _last_mu_table = lru_cache(maxsize=64)(_mu_weights), lru_cache(maxsiz
 
 def _partial_sum(d: int, x: float, k: int, deriv: int) -> float:
     """The deriv-th derivative of sum_{n < 2^k} mu_d(n) x^n at x, by Horner."""
-    weights = (_mu_table if k <= _CACHED_K else _last_mu_table)(d, k)[deriv]
     value = 0.0
-    for c in weights[:-1]:
-        value = (value + c) * x
-    return value + weights[-1]
-
-
-def _check_d(d: int) -> None:
-    if type(d) is not int:  # a float or bool d would reach the integer tables
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    for c in (_mu_table if k <= _CACHED_K else _last_mu_table)(d, k)[deriv]:
+        value = value * x + c
+    return value
 
 
 def _check_args(d: int, x: float, k: int, per_d: int = 0) -> None:

@@ -13,6 +13,7 @@ preserves the componentwise gcd and lcm of the two worlds.
 """
 
 from math import gcd as _gcd, lcm as _lcm
+from operator import itemgetter
 from typing import List, NamedTuple, Tuple
 
 from . import _HOMES, _on_first_use, geometry
@@ -32,7 +33,7 @@ class Necs(Frozen):
     __slots__ = ("classes",)
 
     def __init__(self, classes: Tuple[ResidueClass, ...]):
-        object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: (c.n, c.a))))
+        object.__setattr__(self, "classes", tuple(sorted(classes, key=itemgetter(1, 0))))
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -63,21 +64,19 @@ def phi(dec: "geometry.Decomposition") -> Necs:
         raise ValueError(f"phi is defined on 1-dimensional decompositions, got d={dec.d}")
     if len(dec.grid) == 1 and (dec.Ls, dec.grid) != ((1,), ((0, 1),)):
         raise ValueError("a one-region decomposition must be the unit interval (0, 1)")
-    classes: List[Tuple[int, int]] = []  # (n, a), which sorts in Necs order
+    classes: List[ResidueClass] = []
     stack = [((dec.Ls, dec.grid), 0, 1)]
     while stack:
         grid, a, m = stack.pop()
         if len(grid[1]) == 1:
-            classes.append((m, a))
+            classes.append(ResidueClass(a, m))
             continue
         record = geometry._gcd(grid)
         if record is None:
             raise ValueError("a nontrivial decomposition must have gcd >= 2")
         blocks = record[1]
         stack.extend((block, a + m * j, m * len(blocks)) for j, block in enumerate(blocks))
-    system = object.__new__(Necs)  # the classes are in Necs order: no second sort
-    object.__setattr__(system, "classes", tuple(ResidueClass(a, n) for n, a in sorted(classes)))
-    return system
+    return Necs(classes)
 
 
 def necs_to_json_dict(system: Necs) -> dict:

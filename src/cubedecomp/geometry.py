@@ -38,7 +38,7 @@ Key structural facts used here:
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import _HOMES, _on_first_use
+from . import _HOMES, _check_d, _on_first_use
 from ._frozen import Frozen
 
 __getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["geometry"], "region_contains")})
@@ -107,13 +107,12 @@ def _ratio(e) -> Tuple[int, int]:
 
 
 def _checked(d: int, regions: list) -> list:
-    """regions, (num, den) endpoints with den > 0, if d is an integer >= 1 and each of at
-    least one region has d intervals with 0 <= lo < hi <= 1; else ValueError.  That the
-    boxes tile the cube and are split generated is not checked."""
-    if type(d) is not int:
-        raise ValueError(f"a decomposition needs an integer d, got {d!r}")
-    if d < 1 or not regions:
-        raise ValueError("a decomposition needs d >= 1 and at least one region")
+    """regions, (num, den) endpoints with den > 0, if d passes the dimension rule (an int
+    >= 1) and each of at least one region has d intervals with 0 <= lo < hi <= 1; else
+    ValueError.  That the boxes tile the cube and are split generated is not checked."""
+    _check_d(d)
+    if not regions:
+        raise ValueError("a decomposition needs at least one region")
     for region in regions:
         if len(region) != d:
             from fractions import Fraction

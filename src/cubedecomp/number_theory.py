@@ -26,7 +26,7 @@ from itertools import chain, compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterator, List, Tuple
 
-from . import _HOMES, _on_first_use
+from . import _HOMES, _check_d, _on_first_use
 
 __getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["number_theory"],
                                                      "mobius_d_by_convolution")})
@@ -118,8 +118,7 @@ def mobius_d(d: int, n: int) -> int:
     d = 0 gives the convolution identity delta(n=1).  One loop reads the exponents up to B
     off the gcd; what is left is 1 or one prime (factor -d) up to B^2, scanned only above.
     """
-    if d < 0:
-        raise ValueError(f"mobius_d requires d >= 0, got {d}")
+    _check_d(d, 0)
     if n < 1:
         raise ValueError(f"mobius_d requires n >= 1, got {n}")
     g, primes, result = gcd(n, _PRIMORIAL), iter(_PRIMES), 1
@@ -154,8 +153,7 @@ def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
     """
     if lo < 1:
         raise ValueError(f"mu is defined for n >= 1, got {lo}")
-    if d < 0:
-        raise ValueError(f"mu_d requires d >= 0, got {d}")
+    _check_d(d, 0)
     size = max(isqrt(max(hi, 0)), 1 << 13)
     for start in range(lo, hi + 1, size):
         width = min(size, hi - start + 1)

@@ -30,7 +30,7 @@ Appending a weight-1 set (with a repair step when `find_oar` says that
 would complete an OAR) injects reduced level n into reduced level n+1, so
 the reduced counts never decrease.
 
-Every (d, n) entry point raises ValueError unless d >= 1 and n >= 0.
+Every (d, n) entry point needs n >= 0 and a d that passes the dimension rule.
 Both enumerations build the sets of each weight once per call.
 `iter_sequences` yields every sequence of A_{d,n} as a tuple, for the
 checks that inspect it; `signed_sum` only needs signs, so it walks the same
@@ -41,7 +41,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterator, List, Tuple
 
-from . import _HOMES, _on_first_use
+from . import _HOMES, _check_d, _on_first_use
 from .number_theory import factorize
 
 __getattr__ = _on_first_use(globals(), {"_oracles": _HOMES["prime_sequences"]})
@@ -71,8 +71,7 @@ def sequence_sign(seq: PrimeSequence) -> int:
 
 
 def _check_domain(d: int, n: int) -> None:
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     if n < 0:
         raise ValueError(f"weight must be >= 0, got {n}")
 

@@ -52,7 +52,7 @@ from math import isqrt, prod
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import _HOMES, _on_first_use
+from . import _HOMES, _check_d, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
@@ -119,8 +119,7 @@ def auxiliary_counts(d: int, max_n: int) -> List[int]:
     where a_d(n) is still 0, plus offset 0, so that its itemgetter always
     returns a tuple; it gains one offset, and a new getter, per step.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_d(d)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     mu = mobius_d_values(d, max_n + 1)
@@ -259,6 +258,7 @@ def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:
     coefficients come from the same extraction as s_d, weighted by
     H'(z) = sum_m P*m*mu_d(m) z^(P*m-1).
     """
+    _check_d(d)
     if len(r) != d:
         raise ValueError(f"refinement vector has length {len(r)}, expected d={d}")
     if any(ri < 1 for ri in r):

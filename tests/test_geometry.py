@@ -268,9 +268,9 @@ BAD_REGIONS = [
     (1, (((F(1, 2), F(1, 4)),),), "interval (1/2, 1/4) does not satisfy 0 <= lo < hi <= 1"),
     (1, (((F(-1, 2), F(1)),),), "interval (-1/2, 1) does not satisfy 0 <= lo < hi <= 1"),
     (1, (((F(0), F(3, 2)),),), "interval (0, 3/2) does not satisfy 0 <= lo < hi <= 1"),
-    (1, (), "a decomposition needs d >= 1 and at least one region"),
-    (0, (((F(0), F(1)),),), "a decomposition needs d >= 1 and at least one region"),
-    ("1", (((F(0), F(1)),),), "a decomposition needs an integer d, got '1'"),
+    (1, (), "a decomposition needs at least one region"),
+    (0, (((F(0), F(1)),),), "d must be >= 1, got 0"),
+    ("1", (((F(0), F(1)),),), "d must be an integer, got '1'"),
 ]
 
 

@@ -292,7 +292,7 @@ def test_segments_below_b_plus_one_squared_take_the_held_primes(monkeypatch, lo,
 
 
 def test_segment_validates_its_arguments():
-    with pytest.raises(ValueError, match="d >= 0"):
+    with pytest.raises(ValueError, match="d must be >= 0"):
         list(number_theory._mobius_d_segment(-1, 5, 9))
     with pytest.raises(ValueError, match="n >= 1"):
         list(number_theory._mobius_d_segment(-1, 0, 9))
