@@ -46,12 +46,13 @@ def _on_first_use(namespace: dict, homes: dict):
     return __getattr__
 
 
-def _check_d(d: int, least: int = 1) -> None:
-    """The one dimension rule: d is an int (not a bool or a float) and d >= least."""
-    if type(d) is not int:  # a float or bool d would reach the integer tables
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < least:
-        raise ValueError(f"d must be >= {least}, got {d}")
+def _check_int(name: str, value: int, least: int = 1) -> None:
+    """The one argument rule for an integer parameter: an int (not a bool or a float) >= least.
+    A hot path makes the same test inline and calls this only to raise its text."""
+    if type(value) is not int:  # a float or bool would reach the integer tables
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import math
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from . import (_check_d, asymptotics, covering, geometry, number_theory, prime_sequences, series,
+from . import (_check_int, asymptotics, covering, geometry, number_theory, prime_sequences, series,
                trees)
 
 # ------------------------------------------------------------ number_theory
@@ -55,7 +55,8 @@ def dirichlet_convolve(a: List[int], b: List[int]) -> List[int]:
 
 def mobius_d_by_convolution(d: int, max_n: int) -> List[int]:
     """mu_d via d-fold self-convolution of mu; the independent slow route."""
-    _check_d(d, 0)
+    _check_int("d", d, 0)
+    _check_int("max_n", max_n, 0)
     delta = [0] * (max_n + 1)
     if max_n >= 1:
         delta[1] = 1
@@ -81,12 +82,12 @@ def divisors(n: int) -> List[int]:
 
 def mobius_series(d: int, order: int) -> series.TruncatedSeries:
     """M_d(x) = sum mu_d(n) x^n through x^order."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_int("order", order)
     return series.TruncatedSeries(tuple(number_theory.mobius_d_values(d, order)))
 
 
 def decomposition_series(d: int, order: int) -> series.TruncatedSeries:
+    _check_int("order", order)
     return series.TruncatedSeries(tuple(series.decomposition_counts(d, order)))
 
 
@@ -118,15 +119,15 @@ def _revert_by_extraction(d: int, max_n: int) -> List[int]:
 
 
 def trivial_decomposition(d: int) -> geometry.Decomposition:
-    _check_d(d)
+    _check_int("d", d)
     return geometry._decomposition(d, (1,) * d, ((0, 1) * d,))
 
 
 def grid_decomposition(r: Tuple[int, ...]) -> geometry.Decomposition:
     """The grid decomposition D_r with r_i equal slabs along axis i."""
-    _check_d(len(r))
-    if any(ri < 1 for ri in r):
-        raise ValueError(f"grid arities must be >= 1, got {r}")
+    _check_int("d", len(r))
+    for ri in r:
+        _check_int("r entries", ri)
     cells = product(*[[(j, j + 1) for j in range(ri)] for ri in r])
     return geometry._decomposition(len(r), tuple(r), tuple(sum(cell, ()) for cell in cells))
 
@@ -140,8 +141,8 @@ def refines_grid(dec: geometry.Decomposition, r: Tuple[int, ...]) -> bool:
     """
     if len(r) != dec.d:
         raise ValueError(f"grid vector has length {len(r)}, expected {dec.d}")
-    if any(ri < 1 for ri in r):
-        raise ValueError(f"grid arities must be >= 1, got {r}")
+    for ri in r:
+        _check_int("r entries", ri)
     grids = [(dec.Ls, dec.grid)]
     for axis, ri in enumerate(r):
         cells = [geometry._cells(g, axis, ri) for g in grids]
@@ -152,16 +153,16 @@ def refines_grid(dec: geometry.Decomposition, r: Tuple[int, ...]) -> bool:
 
 
 def unit_region(d: int) -> geometry.Region:
-    _check_d(d)
+    _check_int("d", d)
     from fractions import Fraction
 
     return ((Fraction(0), Fraction(1)),) * d
 
 
 def _check_split(axis: int, arity: int, d: int) -> None:
-    if arity < 2:
-        raise ValueError(f"arity must be >= 2, got {arity}")
-    if not 0 <= axis < d:
+    _check_int("arity", arity, 2)
+    _check_int("axis", axis, 0)
+    if axis >= d:
         raise ValueError(f"axis {axis} out of range for dimension {d}")
 
 
@@ -174,11 +175,8 @@ def split(region: geometry.Region, axis: int, arity: int) -> Tuple[geometry.Regi
     _check_split(axis, arity, len(region))
     lo, hi = region[axis]
     step = (hi - lo) / arity
-    parts = []
-    for j in range(arity):
-        iv = (lo + j * step, lo + (j + 1) * step)
-        parts.append(region[:axis] + (iv,) + region[axis + 1:])
-    return tuple(parts)
+    return tuple(region[:axis] + ((lo + j * step, lo + (j + 1) * step),) + region[axis + 1:]
+                 for j in range(arity))
 
 
 def split_decomposition(dec: geometry.Decomposition, region: geometry.Region, axis: int,
@@ -254,7 +252,7 @@ def restrict_rescale(dec: geometry.Decomposition,
 
 def enumerate_decompositions_up_to(d: int,
                                    max_n: int) -> Dict[int, Set[geometry.Decomposition]]:
-    """All decompositions with at most max_n regions, keyed by region count.
+    """All decompositions with at most max_n >= 1 regions, keyed by region count.
 
     Brute-force oracle: breadth-first closure of the trivial decomposition
     under single-region splits of the canonical form (L, grid), which also
@@ -262,6 +260,7 @@ def enumerate_decompositions_up_to(d: int,
     regions, so from a level-m decomposition arity is capped at max_n - m + 1.
     """
     start = geometry.trivial_decomposition(d)
+    _check_int("max_n", max_n)
     levels: Dict[int, Set[geometry.Grid]] = {m: set() for m in range(1, max_n + 1)}
     levels[1].add((start.Ls, start.grid))
     for m in range(1, max_n):
@@ -277,8 +276,7 @@ def enumerate_decompositions_up_to(d: int,
 
 def enumerate_decompositions(d: int, n: int) -> Set[geometry.Decomposition]:
     """The set S_{d,n} of decompositions with exactly n regions."""
-    if n < 1:
-        raise ValueError(f"region count must be >= 1, got {n}")
+    _check_int("n", n)
     return geometry.enumerate_decompositions_up_to(d, n)[n]
 
 
@@ -286,8 +284,8 @@ def enumerate_decompositions(d: int, n: int) -> Set[geometry.Decomposition]:
 
 
 def make_class(a: int, n: int) -> covering.ResidueClass:
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    _check_int("a", a, -math.inf)  # a residue: any int
+    _check_int("n", n)
     return covering.ResidueClass(a % n, n)
 
 
@@ -297,8 +295,7 @@ def trivial_necs() -> covering.Necs:
 
 def split_class(c: covering.ResidueClass, r: int) -> Tuple[covering.ResidueClass, ...]:
     """The r classes a + i*n mod r*n partitioning a mod n."""
-    if r < 2:
-        raise ValueError(f"split arity must be >= 2, got {r}")
+    _check_int("r", r, 2)
     return tuple(covering.ResidueClass(i * c.n + c.a, r * c.n) for i in range(r))
 
 
@@ -345,11 +342,12 @@ def necs_from_json_dict(data: dict) -> covering.Necs:
 
 
 def enumerate_necs_up_to(max_m: int) -> Dict[int, Set[covering.Necs]]:
-    """All natural exact covering systems with at most max_m classes, by size.
+    """All natural exact covering systems with at most max_m >= 1 classes, by size.
 
     Brute-force oracle mirroring the decomposition enumerator: closure of
     {0 mod 1} under single-class splits, deduplicated canonically.
     """
+    _check_int("max_m", max_m)
     levels: Dict[int, Set[covering.Necs]] = {m: set() for m in range(1, max_m + 1)}
     levels[1].add(covering.trivial_necs())
     for m in range(1, max_m):
@@ -363,8 +361,7 @@ def enumerate_necs_up_to(max_m: int) -> Dict[int, Set[covering.Necs]]:
 
 def enumerate_necs(m: int) -> Set[covering.Necs]:
     """The set C_m of natural exact covering systems with exactly m classes."""
-    if m < 1:
-        raise ValueError(f"class count must be >= 1, got {m}")
+    _check_int("m", m)
     return covering.enumerate_necs_up_to(m)[m]
 
 
@@ -393,7 +390,7 @@ def leaf_count(tree: trees.PlaneTree) -> int:
 
 def validate_tree(tree: trees.PlaneTree, d: int) -> None:
     """Raise ValueError unless every internal node has a label in 1..d and >= 2 children."""
-    _check_d(d)
+    _check_int("d", d)
     for node in _preorder(tree):
         trees._children(node, d)
 
@@ -461,9 +458,8 @@ def enumerate_trees(d: int, n: int) -> Set[trees.PlaneTree]:
     of arity r and the ordered subtrees of each composition of k into r
     parts.  The levels live only as long as the call.
     """
-    _check_d(d)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("d", d)
+    _check_int("n", n)
     levels: List[Tuple[trees.PlaneTree, ...]] = [(), (trees.LEAF,)]
     for k in range(2, n + 1):
         levels.append(tuple(
@@ -561,6 +557,7 @@ def ratio_injection(seq: PrimeSequence, colour: int) -> PrimeSequence:
     {2_c'}, {2_colour} with c' < colour can be completed (a longer run needs
     elements above 2), so `find_oar` on those two sets and the new one decides.
     """
+    _check_int("colour", colour)
     new = ((2, colour),)
     if prime_sequences.find_oar(seq[-2:] + (new,)) is not None:
         return seq[:-1] + (((3, colour),),)
@@ -609,9 +606,8 @@ def log_asymptotic_estimate(d: int, n: int,
     log of n^(-3/2) M_d(s)^(1/2 - n) / sqrt(-2 pi M_d''(s)); usable far past
     the n where the estimate itself leaves binary64 range.
     """
-    _check_d(d)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("d", d)
+    _check_int("n", n)
     if saddle is None:
         saddle = asymptotics.find_saddle(d)
     elif saddle.d != d:
@@ -638,7 +634,7 @@ def check_growth_bounds(d: int, tol: float = asymptotics.DEFAULT_TOL,
     """Whether K_d lies in [4d + 3/2, 4d + 3/2 + 1/(16d)]; defined for d >= 2 only.  It
     compares binary64 values, so from about d = 6*10^4, where K_d is an ulp or two below the
     upper end, rounding decides the answer: it is False at d = 10^6."""
-    _check_d(d, 2)
+    _check_int("d", d, 2)
     rate = asymptotics.find_saddle(d, tol=tol, k=k).growth_rate
     lower = 4 * d + 1.5
     return lower <= rate <= lower + 1 / (16 * d)

@@ -34,7 +34,7 @@ from array import array
 from functools import lru_cache
 from typing import Tuple
 
-from . import MAX_K, _HOMES, _check_d, _on_first_use
+from . import MAX_K, _HOMES, _check_int, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
@@ -66,7 +66,9 @@ def _partial_sum(d: int, x: float, k: int, deriv: int) -> float:
 
 def _check_args(d: int, x: float, k: int, per_d: int = 0) -> None:
     """x must lie in [0, 1 / (per_d d)] for d >= 2 when per_d is given, else in [0, 1)."""
-    _check_d(d)  # before the bound on x, which needs an integer d
+    if type(d) is not int or type(k) is not int or d < 1 or k < 1:  # the rule inline, hot
+        _check_int("d", d)  # before the bound on x, which needs an integer d
+        _check_int("k", k)
     upper = 1 / (per_d * d) if per_d and d >= 2 else math.nextafter(1.0, 0.0)
     if d >= 2 and k < 3:
         raise ValueError(f"tail bounds need k >= 3 for d >= 2, got k={k}")
@@ -141,7 +143,7 @@ def saddle_bracket(d: int) -> Tuple[float, float]:
     bounds (k1 below the root, k2 above, both < 1/(2d)); for d = 1 a fixed
     interval found by scanning.
     """
-    _check_d(d)
+    _check_int("d", d)
     if d == 1:
         return 0.1, 0.45
     k1 = (4 * d + 5) / ((4 * d + 5) * (2 * d + 1) + 1)

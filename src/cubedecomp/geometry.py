@@ -38,7 +38,7 @@ Key structural facts used here:
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import _HOMES, _check_d, _on_first_use
+from . import _HOMES, _check_int, _on_first_use
 from ._frozen import Frozen
 
 __getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["geometry"], "region_contains")})
@@ -107,10 +107,10 @@ def _ratio(e) -> Tuple[int, int]:
 
 
 def _checked(d: int, regions: list) -> list:
-    """regions, (num, den) endpoints with den > 0, if d passes the dimension rule (an int
+    """regions, (num, den) endpoints with den > 0, if d passes the argument rule (an int
     >= 1) and each of at least one region has d intervals with 0 <= lo < hi <= 1; else
     ValueError.  That the boxes tile the cube and are split generated is not checked."""
-    _check_d(d)
+    _check_int("d", d)
     if not regions:
         raise ValueError("a decomposition needs at least one region")
     for region in regions:

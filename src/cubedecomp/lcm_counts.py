@@ -1,8 +1,8 @@
 """Counting decompositions by the grid they refine and by their exact lcm.
 
-For a vector r = (r_1..r_d) of positive integers, g(r) counts the
-decompositions of the d-cube refined by the grid D_r, and h(r) counts those
-whose lcm is exactly r.  Both satisfy inclusion-exclusion recursions over the
+For a vector r = (r_1..r_d), d >= 1, of ints r_i >= 1 (the argument rule), g(r)
+counts the decompositions of the d-cube refined by the grid D_r, and h(r) counts
+those whose lcm is exactly r.  Both satisfy inclusion-exclusion recursions over the
 divisor lattice:
 
     g(r) = 1 - sum_{q_i | r_i, prod q_i != 1} (prod mu(q_i)) g(r/q)^(prod q_i)
@@ -21,14 +21,17 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Tuple
 
+from . import _check_int
 from .number_theory import factorize
 
 LcmKey = Tuple[int, ...]
 
 
 def _check_key(r: LcmKey) -> None:
-    if len(r) < 1 or any(ri < 1 for ri in r):
-        raise ValueError(f"entries must be positive integers, got {r}")
+    if not r or not all(type(ri) is int and ri >= 1 for ri in r):
+        _check_int("d", len(r))
+        for ri in r:
+            _check_int("r entries", ri)
 
 
 def _signed_divisor_vectors(r: LcmKey) -> Tuple[Tuple[LcmKey, int, int], ...]:

@@ -26,7 +26,7 @@ from itertools import chain, compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterator, List, Tuple
 
-from . import _HOMES, _check_d, _on_first_use
+from . import _HOMES, _check_int, _on_first_use
 
 __getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["number_theory"],
                                                      "mobius_d_by_convolution")})
@@ -102,8 +102,8 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     at most B^2.  Only above B^2 are the candidates 6j - 1 and 6j + 1 from B
     on tried, up to its square root.
     """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+    if type(n) is not int or n < 1:  # the rule inline: factorize runs per lcm coordinate
+        _check_int("n", n)
     return tuple(_prime_powers(n))
 
 
@@ -118,9 +118,9 @@ def mobius_d(d: int, n: int) -> int:
     d = 0 gives the convolution identity delta(n=1).  One loop reads the exponents up to B
     off the gcd; what is left is 1 or one prime (factor -d) up to B^2, scanned only above.
     """
-    _check_d(d, 0)
-    if n < 1:
-        raise ValueError(f"mobius_d requires n >= 1, got {n}")
+    if type(d) is not int or type(n) is not int or d < 0 or n < 1:  # the rule inline, hot
+        _check_int("d", d, 0)
+        _check_int("n", n)
     g, primes, result = gcd(n, _PRIMORIAL), iter(_PRIMES), 1
     while g > 1:
         if g in _PRIME_SET:  # one prime of g is left (a g above B has two or more)
@@ -151,9 +151,8 @@ def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
     has one prime factor above the block's square root: factor -d.  The sieving primes
     are the held ones (`_PRIMES`) while that root is at most B, and `_primes(root)` above.
     """
-    if lo < 1:
-        raise ValueError(f"mu is defined for n >= 1, got {lo}")
-    _check_d(d, 0)
+    _check_int("n", lo)
+    _check_int("d", d, 0)
     size = max(isqrt(max(hi, 0)), 1 << 13)
     for start in range(lo, hi + 1, size):
         width = min(size, hi - start + 1)
@@ -176,7 +175,8 @@ def _mobius_d_segment(d: int, lo: int, hi: int) -> Iterator[int]:
 
 
 def mobius_d_values(d: int, max_n: int) -> List[int]:
-    """[0, mu_d(1), ..., mu_d(max_n)] as a dense list (slot 0 unused): the segment [1, max_n]."""
+    """[0, mu_d(1), ..., mu_d(max_n)], max_n >= 0, dense (slot 0 unused): the segment [1, max_n]."""
+    _check_int("max_n", max_n, 0)
     return [0, *_mobius_d_segment(d, 1, max_n)]
 
 

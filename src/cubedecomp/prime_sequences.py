@@ -30,7 +30,7 @@ Appending a weight-1 set (with a repair step when `find_oar` says that
 would complete an OAR) injects reduced level n into reduced level n+1, so
 the reduced counts never decrease.
 
-Every (d, n) entry point needs n >= 0 and a d that passes the dimension rule.
+Every (d, n) entry point takes an int d >= 1 and an int n >= 0 (the argument rule).
 Both enumerations build the sets of each weight once per call.
 `iter_sequences` yields every sequence of A_{d,n} as a tuple, for the
 checks that inspect it; `signed_sum` only needs signs, so it walks the same
@@ -41,7 +41,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterator, List, Tuple
 
-from . import _HOMES, _check_d, _on_first_use
+from . import _HOMES, _check_int, _on_first_use
 from .number_theory import factorize
 
 __getattr__ = _on_first_use(globals(), {"_oracles": _HOMES["prime_sequences"]})
@@ -71,9 +71,8 @@ def sequence_sign(seq: PrimeSequence) -> int:
 
 
 def _check_domain(d: int, n: int) -> None:
-    _check_d(d)
-    if n < 0:
-        raise ValueError(f"weight must be >= 0, got {n}")
+    _check_int("d", d)
+    _check_int("n", n, 0)
 
 
 def enumerate_B(d: int, n: int) -> List[PrimeSet]:

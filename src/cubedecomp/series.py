@@ -52,7 +52,7 @@ from math import isqrt, prod
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import _HOMES, _check_d, _on_first_use
+from . import _HOMES, _check_int, _on_first_use
 from ._frozen import Frozen
 from .number_theory import mobius_d_values
 
@@ -119,9 +119,8 @@ def auxiliary_counts(d: int, max_n: int) -> List[int]:
     where a_d(n) is still 0, plus offset 0, so that its itemgetter always
     returns a tuple; it gains one offset, and a new getter, per step.
     """
-    _check_d(d)
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    _check_int("d", d)
+    _check_int("max_n", max_n, 0)
     mu = mobius_d_values(d, max_n + 1)
     tail = mu[2:]
     c = max(set(tail), key=tail.count, default=0)
@@ -228,8 +227,7 @@ def decomposition_counts(d: int, max_n: int) -> List[int]:
     Lagrange inversion: n*s_d(n) = [z^(n-1)] phi(z)^n with phi = z/M_d(z),
     O(N^2.5) coefficient products in all.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _check_int("max_n", max_n)
     return _lagrange(auxiliary_counts(d, max_n - 1), max_n)
 
 
@@ -258,13 +256,12 @@ def refined_counts(d: int, r: Tuple[int, ...], max_n: int) -> List[int]:
     coefficients come from the same extraction as s_d, weighted by
     H'(z) = sum_m P*m*mu_d(m) z^(P*m-1).
     """
-    _check_d(d)
+    _check_int("d", d)
     if len(r) != d:
         raise ValueError(f"refinement vector has length {len(r)}, expected d={d}")
-    if any(ri < 1 for ri in r):
-        raise ValueError(f"refinement arities must be >= 1, got {r}")
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    for ri in r:
+        _check_int("r entries", ri)
+    _check_int("max_n", max_n, 0)
     cells = prod(r)
     if cells > max_n:
         return [0] * (max_n + 1)

@@ -20,7 +20,7 @@ from math import lcm
 from operator import add, mul
 from typing import List, Tuple
 
-from . import _HOMES, _check_d, _on_first_use
+from . import _HOMES, _check_int, _on_first_use
 from .geometry import Decomposition, _decomposition
 from .series import TruncatedSeries
 
@@ -59,9 +59,8 @@ def tree_counts(d: int, max_n: int) -> TruncatedSeries:
     whose t_d(n-1) term vanishes at n = 2.  For d = 1 this is the little
     Schroeder recurrence.  Each step is O(1) big-integer operations.
     """
-    _check_d(d)
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    _check_int("d", d)
+    _check_int("max_n", max_n, 0)
     t = [0, 1, d][:max_n + 1] + [0] * (max_n - 2)
     for n in range(2, max_n):
         q, r = divmod((2 * d + 1) * (2 * n - 1) * t[n] - (n - 2) * t[n - 1], n + 1)
@@ -79,7 +78,7 @@ def psi(tree: PlaneTree, d: int) -> Decomposition:
     (k_i/den_i, (k_i+1)/den_i), and checks each node in preorder as validate_tree
     does.  A leaf's ends on axis i are k_i L_i/den_i, (k_i+1) L_i/den_i, L_i = lcm(den_i).
     """
-    _check_d(d)
+    _check_int("d", d)
     leaves, stack = [], [(tree, (0, 1) * d)]
     while stack:
         node, box = stack.pop()

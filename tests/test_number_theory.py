@@ -270,7 +270,9 @@ def test_table_on_both_sides_of_a_prime_square(d):
     # at max_n = p^2 - 1 the prime p is left to the found-part test, at p^2 it is sieved
     for max_n in (3, 4, 5, 24, 25, 48, 49, 50, 2208, 2209, 2210):
         assert mobius_d_values(d, max_n) == [0] + [mobius_d(d, n) for n in range(1, max_n + 1)]
-    assert mobius_d_values(d, 0) == mobius_d_values(d, -3) == [0]
+    assert mobius_d_values(d, 0) == [0]
+    with pytest.raises(ValueError, match="^max_n must be >= 0, got -3$"):
+        mobius_d_values(d, -3)
 
 
 # A block up to hi is sieved by the primes up to isqrt(hi): the held ones while that is at
@@ -294,5 +296,5 @@ def test_segments_below_b_plus_one_squared_take_the_held_primes(monkeypatch, lo,
 def test_segment_validates_its_arguments():
     with pytest.raises(ValueError, match="d must be >= 0"):
         list(number_theory._mobius_d_segment(-1, 5, 9))
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         list(number_theory._mobius_d_segment(-1, 0, 9))

@@ -128,7 +128,7 @@ def call(walk, d, n):
 
 @pytest.mark.parametrize("walk", DOMAIN_WALKS)
 def test_negative_weight_raises_value_error(walk):
-    with pytest.raises(ValueError, match="weight must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         call(walk, 1, -1)
 
 
