@@ -55,6 +55,13 @@ def _check_int(name: str, value: int, least: int = 1) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _malformed(kind: str, exc: object) -> ValueError:
+    """The one text for JSON of the wrong shape, from what reading it raised (a KeyError
+    names the missing field) or from a text of the reader's own."""
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"malformed {kind} JSON: {detail}")
+
+
 __version__ = "0.1.0"
 MAX_K = 16  # the largest truncation exponent of the asymptotics, whose tables hold 2^k - 1 terms
 # The CLI's size caps, which --allow-large lifts, and its --suite names (not in __all__).

@@ -16,7 +16,8 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
-from . import ENUM_CAP, LCM_PRODUCT_CAP, MAX_K, MAX_N_CAPS, MU_CAPS, SUITE_NAMES
+from . import (ENUM_CAP, LCM_PRODUCT_CAP, MAX_K, MAX_N_CAPS, MU_CAPS, SUITE_NAMES, _check_int,
+               _malformed)
 
 # Commands read public names through the package root, which under `python -m` binds
 # each on its first read, so a start compiles only what its command uses.
@@ -94,16 +95,10 @@ def _necs_text(system: Necs) -> str:
     return " ".join(f"{c.a}({c.n})" for c in system.classes)
 
 
-def _check_bounds(*bounds: Tuple[str, int, int]) -> None:
-    """Raise ValueError naming the first option (flag, value, least) below its least value."""
-    for flag, value, least in bounds:
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
-
-
 def _check_max_n(kind: str, args) -> None:
     """--d >= 1, and --max-n from the table's first n (0 for ad, else 1) to its cap."""
-    _check_bounds(("--d", args.d, 1), ("--max-n", args.max_n, 0 if kind == "ad" else 1))
+    _check_int("--d", args.d)
+    _check_int("--max-n", args.max_n, 0 if kind == "ad" else 1)
     cap = MAX_N_CAPS[kind]
     if args.max_n > cap and not args.allow_large:
         raise _ResourceCap(f"--max-n {args.max_n} exceeds cap {cap} for {kind}")
@@ -123,7 +118,8 @@ def _cmd_mu(args) -> int:
     from .number_theory import _mobius_d_segment
 
     lo, hi = args.n
-    _check_bounds(("--d", args.d, 0), ("--n", lo, 1))
+    _check_int("--d", args.d, 0)
+    _check_int("--n", lo)
     width, root = hi - lo + 1, math.isqrt(max(hi, 0))
     if (width > MU_CAPS["width"] or root > MU_CAPS["root"]) and not args.allow_large:
         raise _ResourceCap(f"--n {lo}..{hi} holds {width} values sieved by the primes up to "
@@ -150,7 +146,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_refined(args) -> int:
-    _check_bounds(*(("--r entries", r, 1) for r in args.r))
+    for r in args.r:
+        _check_int("--r entries", r)
     _check_max_n("refined", args)
     values = lib.refined_counts(args.d, args.r, args.max_n)
     params = {"d": args.d, "r": list(args.r), "max_n": args.max_n}
@@ -161,7 +158,8 @@ def _cmd_refined(args) -> int:
 
 def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callable[[object], str]]:
     d, n = args.d, args.n
-    _check_bounds(("--d", d, 1), ("--n", n, 1))
+    _check_int("--d", d)
+    _check_int("--n", n)
     if args.target == "necs" and d != 1:
         raise ValueError("covering systems are one-dimensional; use --d 1")
     if args.target == "trees":
@@ -212,12 +210,10 @@ def _cmd_phi(args) -> int:
 
 def _cmd_psi(args) -> int:
     data = _load_json_input(args.infile)
-    if not isinstance(data, dict):
-        raise ValueError('psi input must be a JSON object {"d": D, "tree": T}')
     try:
         d, raw = data["d"], data["tree"]
-    except KeyError as exc:
-        raise ValueError(f"malformed psi input: missing field {exc}") from None
+    except (KeyError, TypeError) as exc:  # TypeError: not a JSON object
+        raise _malformed("psi", exc) from None
     # tree_from_json loads _oracles, which the text form does not
     tree = lib.parse_tree(raw) if isinstance(raw, str) else lib.tree_from_json(raw)
     dec = lib.psi(tree, d)
@@ -228,7 +224,7 @@ def _cmd_psi(args) -> int:
 
 def _cmd_growth(args) -> int:
     lo, hi = args.d
-    _check_bounds(("--d", lo, 1))
+    _check_int("--d", lo)
     if not 0 < args.tol < math.inf:  # also refuses NaN
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     if not 1 <= args.k <= MAX_K:
@@ -248,7 +244,8 @@ def _cmd_lcm_count(args) -> int:
     if (args.r is None) == (args.n is None):
         raise ValueError("exactly one of --r and --n is required")
     if args.r is not None:
-        _check_bounds(*(("--r entries", r, 1) for r in args.r))
+        for r in args.r:
+            _check_int("--r entries", r)
         product = math.prod(args.r)
         if product > LCM_PRODUCT_CAP and not args.allow_large:
             raise _ResourceCap(
@@ -259,7 +256,7 @@ def _cmd_lcm_count(args) -> int:
               {"r": list(args.r), "value": str(value)})
         return 0
     lo, hi = args.n
-    _check_bounds(("--n", lo, 1))
+    _check_int("--n", lo)
     if hi > LCM_PRODUCT_CAP and not args.allow_large:
         raise _ResourceCap(f"n up to {hi} exceeds cap {LCM_PRODUCT_CAP}")
     params = {"kind": args.kind, "n": f"{lo}..{hi}"}

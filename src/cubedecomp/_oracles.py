@@ -28,8 +28,8 @@ import math
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from . import (_check_int, asymptotics, covering, geometry, number_theory, prime_sequences, series,
-               trees)
+from . import (_check_int, _malformed, asymptotics, covering, geometry, number_theory,
+               prime_sequences, series, trees)
 
 # ------------------------------------------------------------ number_theory
 
@@ -323,18 +323,14 @@ def is_exact_cover(classes: Tuple[covering.ResidueClass, ...]) -> bool:
 
 
 def necs_from_json_dict(data: dict) -> covering.Necs:
-    """Inverse of necs_to_json_dict; raises ValueError on a malformed shape, a
-    missing field, an a or n that is not a JSON integer, and on classes that do
-    not partition the integers."""
+    """Inverse of necs_to_json_dict; raises ValueError "malformed covering system
+    JSON: ..." on a malformed shape or a missing field, refuses a and n as make_class
+    does (the argument rule), and raises ValueError on classes that do not partition
+    the integers."""
     try:
         pairs = [(c["a"], c["n"]) for c in data["classes"]]
-    except TypeError as exc:
-        raise ValueError(f"malformed covering system JSON: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"malformed covering system JSON: missing field {exc}") from None
-    bad = [x for pair in pairs for x in pair if type(x) is not int]  # a bool, or 2.9
-    if bad:
-        raise ValueError(f"a covering system needs integer a and n, got {bad[0]!r}")
+    except (KeyError, TypeError) as exc:
+        raise _malformed("covering system", exc) from None
     classes = tuple(covering.make_class(a, n) for a, n in pairs)
     if not covering.is_exact_cover(classes):
         raise ValueError("the classes are not an exact covering system")
@@ -428,7 +424,7 @@ def tree_from_json(obj: Union[str, list]) -> trees.PlaneTree:
     for node in _preorder(obj):
         if node != "L" and not (isinstance(node, list) and len(node) >= 3
                                 and type(node[0]) is int):
-            raise ValueError(f"malformed tree JSON: {node!r}")
+            raise _malformed("tree", repr(node))
         nodes.append(node)
     built: List[trees.PlaneTree] = []
     for node in reversed(nodes):  # a node's children are then the last built, last first
@@ -570,18 +566,19 @@ def sequence_to_json(seq: PrimeSequence) -> list:
 
 
 def sequence_from_json(data: list) -> PrimeSequence:
-    """Inverse of sequence_to_json; raises ValueError on a malformed shape, a
-    missing field, a p or colour that is not a JSON integer, and on a set that
-    is not a coloured prime set: an empty set, a p that is not prime, a colour
-    below 1 or a repeated (p, colour).  Each p is checked by `factorize`, so a
-    huge p costs what factorize(p) costs."""
+    """Inverse of sequence_to_json; raises ValueError "malformed prime sequence
+    JSON: ..." on a malformed shape or a missing field, refuses a p that is not an
+    int and a colour that is not an int >= 1 by the argument rule, and raises
+    ValueError on a set that is not a coloured prime set: an empty set, a p that
+    is not prime or a repeated (p, colour).  Each p is checked by `factorize`, so
+    a huge p costs what factorize(p) costs."""
     try:
         sets = [[(e["p"], e["colour"]) for e in s] for s in data]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed prime sequence JSON: {exc!r}") from None
-    bad = [x for s in sets for pair in s for x in pair if type(x) is not int]  # a bool, or 2.9
-    if bad:
-        raise ValueError(f"a prime sequence needs integer p and colour, got {bad[0]!r}")
+        raise _malformed("prime sequence", exc) from None
+    for p, c in (pair for s in sets for pair in s):  # before the sort, which needs ints
+        _check_int("p", p, -math.inf)  # its type; whether p is a prime is checked below
+        _check_int("colour", c)
     seq = tuple(tuple(sorted(s)) for s in sets)
     for s in seq:
         if not s:
@@ -589,8 +586,6 @@ def sequence_from_json(data: list) -> PrimeSequence:
         for i, (p, c) in enumerate(s):
             if p < 2 or number_theory.factorize(p) != ((p, 1),):
                 raise ValueError(f"p = {p} is not a prime")
-            if c < 1:
-                raise ValueError(f"colour {c} of p = {p} is below 1")
             if i and s[i - 1] == (p, c):
                 raise ValueError(f"the set {s} repeats ({p}, {c})")
     return seq

@@ -38,7 +38,7 @@ Key structural facts used here:
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import _HOMES, _check_int, _on_first_use
+from . import _HOMES, _check_int, _malformed, _on_first_use
 from ._frozen import Frozen
 
 __getattr__ = _on_first_use(globals(), {"_oracles": (*_HOMES["geometry"], "region_contains")})
@@ -272,9 +272,10 @@ def decomposition_to_json_dict(dec: Decomposition) -> dict:
 def decomposition_from_json_dict(data: dict) -> Decomposition:
     """Inverse of decomposition_to_json_dict.
 
-    Raises ValueError on a malformed shape or a missing field, on a d that is
-    not a JSON integer, on an endpoint that is neither a JSON string nor a
-    JSON integer, and on what the constructor refuses (see _checked).
+    Raises ValueError "malformed decomposition JSON: ..." on a malformed shape,
+    a missing field, an endpoint that is neither a JSON string nor a JSON
+    integer, and endpoint text that Fraction cannot read; then on a d that
+    breaks the argument rule and on what the constructor refuses (see _checked).
     """
     def endpoint(e) -> Tuple[int, int]:  # (num, den), den > 0
         if type(e) is int:
@@ -292,8 +293,6 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
     try:
         d = data["d"]
         regions = [[(endpoint(lo), endpoint(hi)) for lo, hi in reg] for reg in data["regions"]]
-    except (TypeError, ZeroDivisionError) as exc:  # a non-sequence, or "1/0"
-        raise ValueError(f"malformed decomposition JSON: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"malformed decomposition JSON: missing field {exc}") from None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:  # the last: "1/0"
+        raise _malformed("decomposition", exc) from None
     return _decomposition(d, *_form(d, _checked(d, regions)))

@@ -115,7 +115,7 @@ def parse_tree(text: str) -> PlaneTree:
             tree = LEAF
         elif tok == "(":
             label = next(tokens, "")
-            if not label.isdigit():
+            if not (label.isascii() and label.isdigit()):  # isdigit takes other digits too
                 raise ValueError("expected integer label after '('")
             open_nodes.append([int(label)])
             continue

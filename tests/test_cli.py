@@ -35,7 +35,8 @@ def records(out):
 
 
 def one_line_error(capsys, argv, stdin=None, monkeypatch=None):
-    """Run argv expecting exit 1 with nothing on stdout and one error line on stderr."""
+    """Run argv expecting exit 1 with nothing on stdout and one error line on stderr,
+    and return that line."""
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = cli.main(argv)
@@ -43,6 +44,7 @@ def one_line_error(capsys, argv, stdin=None, monkeypatch=None):
     assert (code, captured.out) == (1, "")
     assert "Traceback" not in captured.err
     assert captured.err.startswith("cubedecomp: error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_mu_csv_golden(capsys):
@@ -234,22 +236,44 @@ def test_phi_reads_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "0(2) 1(2)\n")
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("phi", {"d": 1, "regions": 5}),
-    ("phi", {"d": 1, "regions": [[["0", "1/2"]]]}),
-    ("psi", [1, 2]),
-    ("phi", {"d": 1, "regions": [[["0", "1/3"]], [["1/3", "1/2"]], [["1/2", "1"]]]}),
-    ("phi", {"d": 1, "regions": [[["0", "1/2"]], [["0", "1/2"]], [["1/2", "1"]]]}),
-    ("phi", {"d": 1.5, "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
-    ("phi", {"d": True, "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
-    ("phi", {"d": "1", "regions": [[["0", "1/2"]], [["1/2", "1"]]]}),
-    ("phi", {"d": 1, "regions": [[[False, True]]]}),
-    ("phi", {"d": 1, "regions": [[[0, 0.5]], [[0.5, True]]]}),
-    ("phi", {"d": 1, "regions": [[[0, 0.5]], [[0.5, 1]]]}),
-    ("phi", {"d": 1, "regions": [[["0", "1/0"]]]}),
-])
-def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload):
-    one_line_error(capsys, [command, "--in", "-"], json.dumps(payload), monkeypatch)
+# (command, payload, its one error text); a shape error names the reader
+MALFORMED = [
+    ("phi", {"d": 1, "regions": 5}, "malformed decomposition JSON: 'int' object is not iterable"),
+    ("phi", {"d": 1, "regions": [[["0", "1/2"]]]},
+     "a one-region decomposition must be the unit interval (0, 1)"),
+    ("psi", [1, 2], "malformed psi JSON: list indices must be integers or slices, not str"),
+    ("phi", {"d": 1, "regions": [[["0", "1/3"]], [["1/3", "1/2"]], [["1/2", "1"]]]},
+     "a nontrivial decomposition must have gcd >= 2"),
+    ("phi", {"d": 1, "regions": [[["0", "1/2"]], [["0", "1/2"]], [["1/2", "1"]]]},
+     "a nontrivial decomposition must have gcd >= 2"),
+    ("phi", {"d": 1.5, "regions": [[["0", "1/2"]], [["1/2", "1"]]]},
+     "d must be an integer, got 1.5"),
+    ("phi", {"d": True, "regions": [[["0", "1/2"]], [["1/2", "1"]]]},
+     "d must be an integer, got True"),
+    ("phi", {"d": "1", "regions": [[["0", "1/2"]], [["1/2", "1"]]]},
+     "d must be an integer, got '1'"),
+    ("phi", {"d": 1, "regions": [[[False, True]]]},
+     "malformed decomposition JSON: endpoint False is not a string or an integer"),
+    ("phi", {"d": 1, "regions": [[[0, 0.5]], [[0.5, True]]]},
+     "malformed decomposition JSON: endpoint 0.5 is not a string or an integer"),
+    ("phi", {"d": 1, "regions": [[[0, 0.5]], [[0.5, 1]]]},
+     "malformed decomposition JSON: endpoint 0.5 is not a string or an integer"),
+    ("phi", {"d": 1, "regions": [[["0", "1/0"]]]}, "malformed decomposition JSON: Fraction(1, 0)"),
+    ("phi", {"d": 1, "regions": [[["0", "1", "2"]]]},
+     "malformed decomposition JSON: too many values to unpack (expected 2)"),
+    ("phi", {"d": 1, "regions": [[["0", "1/" + "9" * 5000]]]},  # past Python 3.11's int limit
+     "malformed decomposition JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+]
+
+
+@pytest.mark.parametrize("command, payload, error", MALFORMED,
+                         ids=[f"{command}-payload{i}" for i, (command, *_) in enumerate(MALFORMED)])
+def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload, error):
+    if "Exceeds the limit" in error and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("Python 3.10 has no int digit limit")
+    err = one_line_error(capsys, [command, "--in", "-"], json.dumps(payload), monkeypatch)
+    assert err == f"cubedecomp: error: {error}\n"
 
 
 @pytest.mark.parametrize("command, payload, field", [

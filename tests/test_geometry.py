@@ -285,6 +285,22 @@ def test_the_constructor_and_the_json_reader_refuse_a_bad_region_alike(d, region
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("regions, text", [
+    ([[["0", "1", "2"]]], "too many values to unpack (expected 2)"),
+    ([[["0", "abc"]]], "Invalid literal for Fraction: 'abc'"),
+    pytest.param([[["0", "1/" + "9" * 5000]]],
+                 "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+                 "digits; use sys.set_int_max_str_digits() to increase the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="Python >= 3.11 limits int digits"),
+                 id="5000-digit den"),
+])
+def test_a_shape_error_in_the_extraction_names_the_reader(regions, text):
+    with pytest.raises(ValueError) as refused:
+        decomposition_from_json_dict({"d": 1, "regions": regions})
+    assert str(refused.value) == f"malformed decomposition JSON: {text}"
+
+
 @pytest.mark.parametrize("endpoint", [0.0, "0", False, None], ids=repr)
 def test_the_constructor_refuses_an_endpoint_that_is_no_integer_or_fraction(endpoint):
     # as the JSON reader refuses a float and a bool: 0.1 is not 1/10, and False is no number

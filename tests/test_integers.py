@@ -1,15 +1,20 @@
-"""One argument rule: every integer parameter of the public API refuses a bad value alike."""
+"""One argument rule: every integer parameter of the public API refuses a bad value alike,
+and so does every reader of values from outside, which words a malformed shape one way."""
 
 import ast
 import inspect
+import io
+import json
+import sys
 from pathlib import Path
 from types import GeneratorType
 
 import pytest
 
 import cubedecomp
-from cubedecomp import (find_saddle, make_class, trivial_decomposition, trivial_necs,
-                        unit_region)
+from cubedecomp import (cli, decomposition_from_json_dict, find_saddle, make_class,
+                        necs_from_json_dict, sequence_from_json, trivial_decomposition,
+                        trivial_necs, unit_region)
 from cubedecomp.number_theory import mobius_d_by_convolution
 
 X = object()  # where the value under test goes in an entry's arguments
@@ -130,16 +135,76 @@ def test_a_split_axis_past_the_dimension_keeps_its_range_text():
     assert refusal("split", (region, X, 2), 2) == "axis 2 out of range for dimension 2"
 
 
-def test_no_library_module_but_the_root_raises_the_rule_texts():
-    # the CLI's command modules are exempt: their --option texts name the option
-    def rule_text(node) -> bool:
-        return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                and getattr(node.exc.func, "id", None) == "ValueError"
+def modules_building(*phrases: str) -> set:
+    """The package modules that build a ValueError whose text holds one of phrases."""
+    def builds(node) -> bool:
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValueError"
                 and any(isinstance(part, ast.Constant) and isinstance(part.value, str)
-                        and ("must be an integer" in part.value or "must be >=" in part.value)
-                        for arg in node.exc.args for part in ast.walk(arg)))
+                        and any(phrase in part.value for phrase in phrases)
+                        for arg in node.args for part in ast.walk(arg)))
 
     src = Path(cubedecomp.__file__).resolve().parent
-    raisers = {path.name for path in src.glob("*.py")
-               if any(map(rule_text, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))}
-    assert raisers - {"cli.py", "_commands.py"} == {"__init__.py"}
+    return {path.name for path in src.glob("*.py")
+            if any(map(builds, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))}
+
+
+def test_no_library_module_but_the_root_raises_the_rule_texts():
+    # the CLI's option bounds too: their texts name the option, as in "--d must be >= 1"
+    assert modules_building("must be an integer", "must be >=") == {"__init__.py"}
+
+
+def test_no_module_but_the_root_words_a_malformed_json_text():
+    assert modules_building("malformed") == {"__init__.py"}
+
+
+READERS = {"decomposition": decomposition_from_json_dict, "covering system": necs_from_json_dict,
+           "prime sequence": sequence_from_json}
+# (reader, case, input, its one error text): four readers of values from outside by five
+# bad inputs; psi reads its input on stdin, as `psi --in -`
+OUTSIDE = [
+    ("decomposition", "missing field", {"d": 1},
+     "malformed decomposition JSON: missing field 'regions'"),
+    ("decomposition", "wrong shape", {"d": 1, "regions": 5},
+     "malformed decomposition JSON: 'int' object is not iterable"),
+    ("decomposition", "float field", {"d": 1.0, "regions": [[["0", "1"]]]},
+     "d must be an integer, got 1.0"),
+    ("decomposition", "bool field", {"d": True, "regions": [[["0", "1"]]]},
+     "d must be an integer, got True"),
+    ("decomposition", "below least", {"d": 0, "regions": [[["0", "1"]]]}, "d must be >= 1, got 0"),
+    ("covering system", "missing field", {"classes": [{"a": 0}]},
+     "malformed covering system JSON: missing field 'n'"),
+    ("covering system", "wrong shape", {"classes": 5},
+     "malformed covering system JSON: 'int' object is not iterable"),
+    ("covering system", "float field", {"classes": [{"a": 0, "n": 1.0}]},
+     "n must be an integer, got 1.0"),
+    ("covering system", "bool field", {"classes": [{"a": True, "n": 1}]},
+     "a must be an integer, got True"),
+    ("covering system", "below least", {"classes": [{"a": 0, "n": 0}]}, "n must be >= 1, got 0"),
+    ("prime sequence", "missing field", [[{"p": 2}]],
+     "malformed prime sequence JSON: missing field 'colour'"),
+    ("prime sequence", "wrong shape", 5,
+     "malformed prime sequence JSON: 'int' object is not iterable"),
+    ("prime sequence", "float field", [[{"p": 2.0, "colour": 1}]], "p must be an integer, got 2.0"),
+    ("prime sequence", "bool field", [[{"p": 2, "colour": True}]],
+     "colour must be an integer, got True"),
+    ("prime sequence", "below least", [[{"p": 2, "colour": 0}]], "colour must be >= 1, got 0"),
+    ("psi", "missing field", {"tree": "L"}, "malformed psi JSON: missing field 'd'"),
+    ("psi", "wrong shape", 5, "malformed psi JSON: 'int' object is not subscriptable"),
+    ("psi", "float field", {"d": 1.0, "tree": "L"}, "d must be an integer, got 1.0"),
+    ("psi", "bool field", {"d": True, "tree": "L"}, "d must be an integer, got True"),
+    ("psi", "below least", {"d": 0, "tree": "L"}, "d must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("reader, case, data, text", OUTSIDE,
+                         ids=[f"{reader}:{case}" for reader, case, _, _ in OUTSIDE])
+def test_every_reader_of_outside_values_refuses_them_by_the_root_texts(reader, case, data, text,
+                                                                     capsys, monkeypatch):
+    if reader == "psi":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        assert cli.main(["psi", "--in", "-"]) == 1
+        assert capsys.readouterr().err == f"cubedecomp: error: {text}\n"
+        return
+    with pytest.raises(ValueError) as refused:
+        READERS[reader](data)
+    assert str(refused.value) == text

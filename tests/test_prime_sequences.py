@@ -1,5 +1,6 @@
 """Coloured prime sets and sequences, the partner map, and the signed counts."""
 
+import re
 from itertools import zip_longest
 
 import pytest
@@ -374,22 +375,29 @@ def test_json_round_trip():
     assert sequence_from_json(data) == s
 
 
+try:  # indexing a str by a str: the interpreter's text, which Python 3.11 extended
+    "p".__getitem__("p")
+except TypeError as exc:
+    STR_INDEX = re.escape(str(exc))
+
+
 @pytest.mark.parametrize("data,message", [
-    ([[{"p": 2.9, "colour": True}]], "integer p and colour, got 2.9"),
-    ([[{"p": 2, "colour": True}]], "integer p and colour, got True"),
-    ([[{"p": "2", "colour": 1}]], "integer p and colour, got '2'"),
-    ([[{"p": 2}]], "malformed prime sequence JSON: KeyError\\('colour'\\)"),
-    ([[[2, 1]]], "malformed prime sequence JSON: TypeError"),
-    ([{"p": 2, "colour": 1}], "malformed prime sequence JSON: TypeError"),
-    (5, "malformed prime sequence JSON: TypeError"),
-    (None, "malformed prime sequence JSON: TypeError"),
+    ([[{"p": 2.9, "colour": True}]], "p must be an integer, got 2\\.9"),
+    ([[{"p": 2, "colour": True}]], "colour must be an integer, got True"),
+    ([[{"p": "2", "colour": 1}]], "p must be an integer, got '2'"),
+    ([[{"p": 2}]], "malformed prime sequence JSON: missing field 'colour'"),
+    ([[[2, 1]]], "malformed prime sequence JSON: list indices must be integers or slices, not str"),
+    ([{"p": 2, "colour": 1}], f"malformed prime sequence JSON: {STR_INDEX}"),
+    (5, "malformed prime sequence JSON: 'int' object is not iterable"),
+    (None, "malformed prime sequence JSON: 'NoneType' object is not iterable"),
     ([[]], "^a prime sequence has no empty set$"),
     ([[{"p": 4, "colour": 1}]], "^p = 4 is not a prime$"),
     ([[{"p": 3, "colour": 1}], [{"p": -3, "colour": 1}]], "^p = -3 is not a prime$"),
-    ([[{"p": 2, "colour": -7}]], "^colour -7 of p = 2 is below 1$"),
+    ([[{"p": 2, "colour": -7}]], "^colour must be >= 1, got -7$"),
     ([[{"p": 2, "colour": 1}, {"p": 2, "colour": 1}]],  # involution would make three {2_1}
      "^the set \\(\\(2, 1\\), \\(2, 1\\)\\) repeats \\(2, 1\\)$"),
 ])
 def test_sequence_from_json_rejects_bad_input(data, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as refused:
         sequence_from_json(data)
+    assert re.fullmatch(message, str(refused.value))  # the whole text, anchored or not

@@ -276,3 +276,8 @@ def test_parse_rejects_malformed_input():
     for bad in ("", "(1 L)", "(1 L L", "(1 L L) L", "(4x L L)", "L L", "()"):
         with pytest.raises(ValueError):
             parse_tree(bad)
+    # a label is ASCII digits: str.isdigit takes "\u0661" (read as 1) and "\u00b2" too
+    for bad in ("(\u0661 L L)", "(\u00b2 L L)"):
+        with pytest.raises(ValueError) as refused:
+            parse_tree(bad)
+        assert str(refused.value) == "expected integer label after '('"
