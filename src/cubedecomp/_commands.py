@@ -3,7 +3,8 @@
 `cli.main` imports this module once a command line has parsed, and runs
 `_cmd_<command>` on it; `--version`, `--help` and a usage error never compile
 it.  The size caps it enforces live in the package root beside `MAX_K`, where
-the parser reads them for its help.  It never imports `cli`: under `python -m
+the parser reads them for its help; `_cap` is the one check of them, and `_json`
+the one writer of a JSON line.  It never imports `cli`: under `python -m
 cubedecomp.cli` the CLI runs as `__main__`, so an import of `cubedecomp.cli`
 would load a second copy of it.  See `cli` for the output records and the exit
 codes.
@@ -34,18 +35,21 @@ class _ResourceCap(Exception):
     """Raised when a computation would exceed a default size cap."""
 
 
+def _cap(args, what: str, value: int, cap: int) -> None:
+    """The one resource cap check: refuse a value past cap unless --allow-large is given.
+    what names the option that sets the value."""
+    if value > cap and not args.allow_large:
+        raise _ResourceCap(f"{what} {value} exceeds cap {cap}")
+
+
+def _json(obj: object) -> str:
+    """The canonical JSON line of obj: sorted keys and no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _record(command: str, params: dict, provenance: str, result: dict) -> str:
-    return json.dumps(
-        {
-            "schema": SCHEMA,
-            "command": command,
-            "params": params,
-            "provenance": provenance,
-            "result": result,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return _json({"schema": SCHEMA, "command": command, "params": params,
+                  "provenance": provenance, "result": result})
 
 
 def _emit(fmt: str, text: object, command: str, params: dict, provenance: str,
@@ -95,20 +99,26 @@ def _necs_text(system: Necs) -> str:
     return " ".join(f"{c.a}({c.n})" for c in system.classes)
 
 
-def _check_max_n(kind: str, args) -> None:
-    """--d >= 1, and --max-n from the table's first n (0 for ad, else 1) to its cap."""
+def _check_max_n(kind: str, args) -> int:
+    """--d >= 1, and --max-n from the table's first n (0 for ad, else 1) to its cap;
+    returns that first n."""
+    first = 0 if kind == "ad" else 1
     _check_int("--d", args.d)
-    _check_int("--max-n", args.max_n, 0 if kind == "ad" else 1)
-    cap = MAX_N_CAPS[kind]
-    if args.max_n > cap and not args.allow_large:
-        raise _ResourceCap(f"--max-n {args.max_n} exceeds cap {cap} for {kind}")
+    _check_int("--max-n", args.max_n, first)
+    _cap(args, "--max-n", args.max_n, MAX_N_CAPS[kind])
+    return first
 
 
-def _load_json_input(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json_input(path: str, kind: str) -> object:
+    """The JSON value in path ('-' for stdin); text that does not read as JSON (not UTF-8,
+    not JSON, nested too deep or past the int digit limit) is malformed kind JSON."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise _malformed(kind, exc) from None
 
 
 # ---------------------------------------------------------------- commands
@@ -120,39 +130,33 @@ def _cmd_mu(args) -> int:
     lo, hi = args.n
     _check_int("--d", args.d, 0)
     _check_int("--n", lo)
-    width, root = hi - lo + 1, math.isqrt(max(hi, 0))
-    if (width > MU_CAPS["width"] or root > MU_CAPS["root"]) and not args.allow_large:
-        raise _ResourceCap(f"--n {lo}..{hi} holds {width} values sieved by the primes up to "
-                           f"{root}, over the caps {MU_CAPS['width']} and {MU_CAPS['root']}")
+    _cap(args, "--n width", hi - lo + 1, MU_CAPS["width"])
+    _cap(args, "--n root", math.isqrt(hi), MU_CAPS["root"])
     _print_values("mu", {"d": args.d, "n": f"{lo}..{hi}"}, "recursion", args.format,
                   zip(range(lo, hi + 1), _mobius_d_segment(args.d, lo, hi)))
     return 0
 
 
 def _cmd_seq(args) -> int:
-    _check_max_n(args.kind, args)
+    first = _check_max_n(args.kind, args)
     params = {"kind": args.kind, "d": args.d, "max_n": args.max_n}
     if args.kind == "sd":
         values = lib.decomposition_counts(args.d, args.max_n)
-        pairs = [(n, values[n]) for n in range(1, args.max_n + 1)]
     elif args.kind == "ad":
         values = lib.auxiliary_counts(args.d, args.max_n)
-        pairs = [(n, values[n]) for n in range(0, args.max_n + 1)]
     else:
-        series = lib.tree_counts(args.d, args.max_n)
-        pairs = [(n, series.coefficient(n)) for n in range(1, args.max_n + 1)]
-    _print_values("seq", params, "series", args.format, pairs)
+        values = lib.tree_counts(args.d, args.max_n).coeffs
+    _print_values("seq", params, "series", args.format, enumerate(values[first:], first))
     return 0
 
 
 def _cmd_refined(args) -> int:
     for r in args.r:
         _check_int("--r entries", r)
-    _check_max_n("refined", args)
+    first = _check_max_n("refined", args)
     values = lib.refined_counts(args.d, args.r, args.max_n)
     params = {"d": args.d, "r": list(args.r), "max_n": args.max_n}
-    _print_values("refined", params, "series", args.format,
-                  ((n, values[n]) for n in range(1, args.max_n + 1)))
+    _print_values("refined", params, "series", args.format, enumerate(values[first:], first))
     return 0
 
 
@@ -167,8 +171,7 @@ def _enum_objects(args) -> Tuple[List[object], Callable[[object], dict], Callabl
     else:
         expected = lib.decomposition_counts(d, n)[n]
         noun = "decompositions" if args.target == "decomp" else "covering systems"
-    if expected > ENUM_CAP and not args.allow_large:
-        raise _ResourceCap(f"{expected} {noun} exceeds cap {ENUM_CAP}")
+    _cap(args, f"count of {noun}", expected, ENUM_CAP)
     if args.target == "decomp":
         objs = sorted(lib.enumerate_decompositions(d, n), key=lambda s: s.regions)
         return objs, lib.decomposition_to_json_dict, _decomposition_text
@@ -189,8 +192,7 @@ def _cmd_enum(args) -> int:
         try:
             with open(args.emit, "w", encoding="utf-8") as fh:
                 for obj in objs:
-                    fh.write(json.dumps(to_json(obj), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+                    fh.write(_json(to_json(obj)) + "\n")
         except BrokenPipeError as exc:  # an error, unlike a closed stdout
             raise OSError(f"cannot write {args.emit}: {exc.strerror}") from None
         _emit(args.format, f"{len(objs)},{args.emit}", "enum", params, "enumeration",
@@ -202,14 +204,15 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    system = lib.phi(lib.decomposition_from_json_dict(_load_json_input(args.infile)))
+    dec = lib.decomposition_from_json_dict(_load_json_input(args.infile, "decomposition"))
+    system = lib.phi(dec)
     result = dict(lib.necs_to_json_dict(system), lcm=lib.necs_lcm(system))
     _emit(args.format, _necs_text(system), "phi", {"in": args.infile}, "recursion", result)
     return 0
 
 
 def _cmd_psi(args) -> int:
-    data = _load_json_input(args.infile)
+    data = _load_json_input(args.infile, "psi")
     try:
         d, raw = data["d"], data["tree"]
     except (KeyError, TypeError) as exc:  # TypeError: not a JSON object
@@ -246,10 +249,7 @@ def _cmd_lcm_count(args) -> int:
     if args.r is not None:
         for r in args.r:
             _check_int("--r entries", r)
-        product = math.prod(args.r)
-        if product > LCM_PRODUCT_CAP and not args.allow_large:
-            raise _ResourceCap(
-                f"product {product} of --r entries exceeds cap {LCM_PRODUCT_CAP}")
+        _cap(args, "product of --r entries", math.prod(args.r), LCM_PRODUCT_CAP)
         params = {"kind": args.kind, "r": list(args.r)}
         value = count(args.r)
         _emit(args.format, value, "lcm-count", params, "recursion",
@@ -257,8 +257,7 @@ def _cmd_lcm_count(args) -> int:
         return 0
     lo, hi = args.n
     _check_int("--n", lo)
-    if hi > LCM_PRODUCT_CAP and not args.allow_large:
-        raise _ResourceCap(f"n up to {hi} exceeds cap {LCM_PRODUCT_CAP}")
+    _cap(args, "--n end", hi, LCM_PRODUCT_CAP)
     params = {"kind": args.kind, "n": f"{lo}..{hi}"}
     _print_values("lcm-count", params, "recursion", args.format,
                   ((n, count((n,))) for n in range(lo, hi + 1)))

@@ -239,11 +239,9 @@ def _mul_school(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
     for n in range(order + 1):
         lo = max(0, n - lb + 1)
         hi = min(n, la - 1)
-        if lo > hi:
-            out.append(0)
-        else:
-            # b[n-i] for i = lo..hi is the contiguous slice br[lb-1-n+lo : lb-1-n+hi+1]
-            out.append(sum(map(int.__mul__, a[lo:hi + 1], br[lb - 1 - n + lo:lb - n + hi])))
+        # b[n-i] for i = lo..hi is the contiguous slice br[lb-1-n+lo : lb-1-n+hi+1]; past
+        # both operands (lo > hi) both slices are empty and the sum is 0
+        out.append(sum(map(int.__mul__, a[lo:hi + 1], br[lb - 1 - n + lo:lb - n + hi])))
     return out
 
 

@@ -76,6 +76,12 @@ def test_domain_guards():
                  lambda: eval_M_prime("2", 0.1)):
         with pytest.raises(ValueError, match="d must be an integer"):
             call()
+    for call, text in [(lambda: find_saddle(1, tol=0.0),
+                        "tol must be finite and positive, got 0.0"),
+                       (lambda: eval_M(1, 0.1, 17), "k must be in 1..16, got 17")]:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == text
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 0.7])

@@ -194,8 +194,12 @@ def test_enum_emit_writes_objects(tmp_path, capsys):
 
 
 def test_enum_cap_exit_code(capsys):
-    code, out = run(capsys, "enum", "decomp", "--d", "2", "--n", "8")
+    code = cli.main(["enum", "decomp", "--d", "2", "--n", "8"])
     assert code == 3
+    count = decomposition_counts(2, 8)[8]
+    assert capsys.readouterr().err == (f"cubedecomp: resource cap: count of decompositions "
+                                       f"{count} exceeds cap {cli.ENUM_CAP}; "
+                                       "pass --allow-large to override\n")
 
 
 def test_enum_necs_requires_dimension_one(capsys):
@@ -276,6 +280,38 @@ def test_malformed_json_input_exits_one(capsys, monkeypatch, command, payload, e
     assert err == f"cubedecomp: error: {error}\n"
 
 
+# (command, input that does not read as JSON, its one error text)
+UNREADABLE = [
+    pytest.param("phi", b"not json",
+                 "malformed decomposition JSON: Expecting value: line 1 column 1 (char 0)",
+                 id="phi-not-json"),
+    pytest.param("psi", b'{"d": 1, "tree"',
+                 "malformed psi JSON: Expecting ':' delimiter: line 1 column 16 (char 15)",
+                 id="psi-truncated"),
+    pytest.param("psi", b'{"d": ' + b"9" * 5001 + b', "tree": "L"}',
+                 "malformed psi JSON: Exceeds the limit (4300 digits) for integer string "
+                 "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to "
+                 "increase the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="Python 3.10 has no int digit limit"),
+                 id="psi-5001-digit-d"),
+    pytest.param("phi", b'{"d": 1, "regions": "\xff"}',
+                 "malformed decomposition JSON: 'utf-8' codec can't decode byte 0xff in "
+                 "position 21: invalid start byte",
+                 id="phi-not-utf-8"),
+]
+
+
+@pytest.mark.parametrize("command, data, error", UNREADABLE)
+def test_input_that_does_not_read_as_json_is_malformed_json(capsys, tmp_path, command, data,
+                                                            error):
+    src = tmp_path / "in.json"  # a file, which unlike text stdin can hold bytes not UTF-8
+    src.write_bytes(data)
+    code = cli.main([command, "--in", str(src)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"cubedecomp: error: {error}\n")
+
+
 @pytest.mark.parametrize("command, payload, field", [
     ("phi", {"regions": [[["0", "1"]]]}, "d"),
     ("phi", {"d": 1}, "regions"),
@@ -311,9 +347,10 @@ def test_psi_deep_tree(capsys, monkeypatch):
     assert len(regions) == depth + 1
     assert regions[:2] == [[["0", "1/2"]], [["1/2", "3/4"]]]
     assert regions[-1] == [[f"{2 ** depth - 1}/{2 ** depth}", "1"]]
-    # the JSON reader itself is recursive: a deep tree in list form is a usage error
+    # the JSON reader itself is recursive: a deep tree in list form is malformed JSON
     deep_list = '{"d": 1, "tree": ' + '[1, "L", ' * depth + '"L"' + "]" * depth + "}"
-    one_line_error(capsys, ["psi", "--in", "-"], deep_list, monkeypatch)
+    err = one_line_error(capsys, ["psi", "--in", "-"], deep_list, monkeypatch)
+    assert err.startswith("cubedecomp: error: malformed psi JSON: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -480,6 +517,11 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["refined", "--d", "1", "--r", "", "--max-n", "5"]) == 1
     assert capsys.readouterr().err.endswith(
         "error: argument --r: expected comma-separated integers, got ''\n")
+    for argv, option, text in [(["mu", "--d", "1", "--n", "5..3"], "--n", "5..3"),
+                               (["growth", "--d", "3..1"], "--d", "3..1")]:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: empty range '{text}'\n")
 
 
 def test_domain_errors_exit_one(capsys):
@@ -719,9 +761,9 @@ def test_mu_caps_exit_three_before_sieving(capsys, monkeypatch, n, width, root):
     code = cli.main(["mu", "--d", "2", "--n", n])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == (f"cubedecomp: resource cap: --n {n if '..' in n else f'{n}..{n}'} "
-                            f"holds {width} values sieved by the primes up to {root}, "
-                            f"over the caps {WIDTH} and {ROOT}; pass --allow-large to override\n")
+    what, value, cap = ("width", width, WIDTH) if width > WIDTH else ("root", root, ROOT)
+    assert captured.err == (f"cubedecomp: resource cap: --n {what} {value} exceeds cap {cap}; "
+                            "pass --allow-large to override\n")
 
 
 def test_allow_large_passes_the_mu_caps(capsys, monkeypatch):
@@ -758,7 +800,7 @@ def test_max_n_cap_exits_three_before_computing(capsys, monkeypatch, argv, kind,
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == (f"cubedecomp: resource cap: --max-n {cli.MAX_N_CAPS[kind] + 1} "
-                            f"exceeds cap {cli.MAX_N_CAPS[kind]} for {kind}; "
+                            f"exceeds cap {cli.MAX_N_CAPS[kind]}; "
                             "pass --allow-large to override\n")
 
 
@@ -776,6 +818,23 @@ def test_allow_large_passes_the_max_n_cap(capsys, monkeypatch, argv, kind, compu
         code, out = run(capsys, *argv, "--max-n", *extra, "--format", "csv")
         assert code == 0 and set(out.strip().split(",")) == {"0"}
     assert calls == [cap, cap + 1]
+
+
+# lcm-count past its caps: (argv, the cap's one text)
+LCM_CAPS = [
+    (["lcm-count", "g", "--r", "101,100"], "product of --r entries 10100 exceeds cap 10000"),
+    (["lcm-count", "h", "--n", "1..10001"], "--n end 10001 exceeds cap 10000"),
+]
+
+
+@pytest.mark.parametrize("argv, text", LCM_CAPS, ids=[" ".join(argv) for argv, _ in LCM_CAPS])
+def test_lcm_count_caps_exit_three_unless_allow_large(capsys, argv, text):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"cubedecomp: resource cap: {text}; pass --allow-large to override\n"
+    assert cli.main([*argv, "--allow-large", "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # Each table's --max-n starts at its first n (0 for ad, 1 for the others) and --d at 1,

@@ -220,6 +220,18 @@ def test_restrict_rescale_inverts_grid_refinement():
     assert sub == grid_decomposition((1, 3))
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: refines_grid(grid_decomposition((2,)), (2, 2)),
+     "grid vector has length 2, expected 1"),
+    (lambda: restrict_rescale(interval_dec(F(1, 3), F(2, 3)), box((0, 1, 1, 2))),
+     "a region straddles the cell boundary"),
+], ids=["refines_grid-length", "restrict_rescale-straddle"])
+def test_the_grid_helpers_refuse_a_grid_that_does_not_fit(call, text):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == text
+
+
 def test_gcd_lcm_of_trivial():
     t = trivial_decomposition(3)
     assert gcd_of(t) == (1, 1, 1)

@@ -157,6 +157,41 @@ def test_no_module_but_the_root_words_a_malformed_json_text():
     assert modules_building("malformed") == {"__init__.py"}
 
 
+def functions_holding(hit) -> set:
+    """The "module.function" names, over the package modules, whose own body (not that of a
+    function defined in it) holds a node that hit accepts; "module.<module>" for top level."""
+    found = set()
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.partition('.')[0]}.{child.name}")
+                continue
+            if hit(child):
+                found.add(where)
+            visit(child, where)
+
+    src = Path(cubedecomp.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    return found
+
+
+def test_no_function_but_cap_refuses_past_a_resource_cap():
+    def hit(node) -> bool:  # builds the refusal, or reads the option that lifts it
+        return ((isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ResourceCap")
+                or (isinstance(node, ast.Attribute) and node.attr == "allow_large"))
+
+    assert functions_holding(hit) == {"_commands._cap"}
+
+
+def test_no_function_but_json_writes_a_json_line():
+    def hit(node) -> bool:
+        return getattr(node, "attr", getattr(node, "id", None)) == "dumps"
+
+    assert functions_holding(hit) == {"_commands._json"}
+
+
 READERS = {"decomposition": decomposition_from_json_dict, "covering system": necs_from_json_dict,
            "prime sequence": sequence_from_json}
 # (reader, case, input, its one error text): four readers of values from outside by five

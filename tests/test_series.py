@@ -124,6 +124,10 @@ def test_extraction_oracle_does_not_use_the_fast_product(monkeypatch):
     assert mobius_series(2, 12).compose(inverse).coeffs == (0, 1) + (0,) * 11
 
 
+def test_schoolbook_product_past_both_operands_is_zero():
+    assert _mul_school([1], [1], 3) == [1, 0, 0, 0]
+
+
 def test_coefficient_bounds_checked():
     s = series_from_list([1, 2, 3])
     assert s.coefficient(2) == 3

@@ -281,3 +281,6 @@ def test_parse_rejects_malformed_input():
         with pytest.raises(ValueError) as refused:
             parse_tree(bad)
         assert str(refused.value) == "expected integer label after '('"
+    with pytest.raises(ValueError) as refused:
+        parse_tree("(1 L x)")
+    assert str(refused.value) == "expected 'L' or '(', got 'x'"
